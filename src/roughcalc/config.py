@@ -13,14 +13,15 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
+from .functionals import catalog_names
 from .models import CovarianceModel, ModelKind, TimeGrid
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULTS"]
 
-_INT_KEYS = {"grid_n", "paths", "seed", "workers", "nodes", "mc_n", "offsets",
+_INT_KEYS = {"grid_n", "paths", "seed", "workers", "nodes", "offsets",
              "elements"}
 _FLOAT_KEYS = {"hurst", "alpha", "beta", "horizon"}
-_STR_KEYS = {"model", "spacing", "functional", "method", "sampler", "out_dir"}
+_STR_KEYS = {"model", "spacing", "functional", "out_dir"}
 _LIST_INT_KEYS = {"grid_sweep"}
 _LIST_FLOAT_KEYS = {"times", "hurst_sweep"}
 _ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_INT_KEYS
@@ -49,9 +50,6 @@ class ExperimentConfig:
     offsets: int = 6
     elements: int = 100
     nodes: int = 32
-    method: str = "quadrature"
-    mc_n: int = 4096
-    sampler: str = "cholesky"
     out_dir: str = field(default_factory=lambda: os.environ.get("ROUGHCALC_OUT_DIR", "."))
 
     def __post_init__(self):
@@ -63,14 +61,22 @@ class ExperimentConfig:
             raise ConfigError(f"spacing must be uniform|explicit, got {self.spacing!r}")
         if self.spacing == "explicit" and not self.times:
             raise ConfigError("spacing=explicit requires a times list")
+        if not self.horizon > 0.0:
+            raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
         if self.grid_n < 1:
             raise ConfigError("grid_n must be >= 1")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
-        if self.method not in ("quadrature", "mc"):
-            raise ConfigError(f"method must be quadrature|mc, got {self.method!r}")
-        if self.sampler not in ("cholesky", "circulant"):
-            raise ConfigError(f"sampler must be cholesky|circulant, got {self.sampler!r}")
+        if any(n < 1 for n in self.grid_sweep):
+            raise ConfigError(f"grid_sweep sizes must be >= 1, got {list(self.grid_sweep)}")
+        if self.nodes < 1:
+            raise ConfigError("nodes must be >= 1")
+        if self.functional not in catalog_names():
+            raise ConfigError(f"unknown functional {self.functional!r}; "
+                              f"choose from {', '.join(catalog_names())}")
+        bad = [h for h in self.hurst_sweep if not 0.0 < h < 1.0]
+        if bad:
+            raise ConfigError(f"hurst_sweep values must lie in (0, 1), got {bad}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.model == "mixed":

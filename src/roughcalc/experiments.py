@@ -34,15 +34,14 @@ from .config import ExperimentConfig
 from .energy import GramContext, increment_element, inner_product, project_adapted
 from .errors import ConfigError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
-from .gaussian import (RngStream, conditional_law, sample_ensemble,
-                       sample_ensemble_circulant)
+from .gaussian import (RngStream, conditional_law, regression_coefficients,
+                       sample_ensemble, sample_ensemble_circulant)
 from .malliavin import (AffineField, VectorField, affine_field, clark_integrand,
                         conditional_gradient, conditional_value,
                         deterministic_field, derivative_pairing, divergence,
                         field_norm_sq, increment_directions,
                         isometry_defect_affine)
-from .mixed import (MixedContext, mixed_clark_fields, mixed_divergence,
-                    mixed_pairing, sample_mixed)
+from .mixed import MixedContext, mixed_divergence, mixed_pairing, sample_mixed
 from .models import CovarianceModel, increment_variance
 from .reporting import ExperimentReport
 
@@ -324,8 +323,8 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
 
     m_s = conditional_value(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
     cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
-    # (Pi DF)_s in adapted coordinates: columns solve the leading system.
-    y_s = ctx.solve_leading(j_s, ctx.sigma[:j_s, idx])
+    # (Pi DF)_s in adapted coordinates: the regression coefficients of X[idx].
+    y_s, _ = regression_coefficients(ctx, j_s, idx)
 
     report = _report(cfg, "remainder", grid.n)
     gaps = []
@@ -413,7 +412,7 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
         j_s = i_s + 1
         m_s = conditional_value(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
         cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
-        y_s = ctx.solve_leading(j_s, ctx.sigma[:j_s, idx])
+        y_s, _ = regression_coefficients(ctx, j_s, idx)
         dm = {}
         dx = {}
         for k in steps:
@@ -811,14 +810,12 @@ def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
                 se_combined=se_combined,
                 passed=bool(sigma <= 3.0),
             )
+    # The Clark pair of the components sums to the Clark field of X itself
+    # (see mixed_clark_fields), so the residual is taken in the X geometry.
     fn = make_functional(cfg.functional, grid)
     values = fn.values(ens.paths_x)
-    cb, ch = mixed_clark_fields(mctx, fn, nodes=cfg.nodes)
-    if cfg.alpha == 0.0:
-        cb = None
-    if cfg.beta == 0.0:
-        ch = None
-    delta = mixed_divergence(mctx, cb, ch, ens)
+    field = clark_integrand(mctx.ctx_x, fn, nodes=cfg.nodes)
+    delta = divergence(mctx.ctx_x, field, ens.paths_x)
     resid_sq = (values - _exact_mean(mctx.ctx_x, fn, cfg.nodes) - delta) ** 2
     residual, se = _mean_se(resid_sq)
     exact_case = cfg.beta == 0.0 and cfg.functional == "linear"

@@ -19,22 +19,29 @@ Randomness is keyed by (seed, stream, chunk): each fixed-size chunk of rows
 gets its own PCG64 generator via SeedSequence spawn keys, so ensembles are
 bit-identical for any worker count and any chunk execution order.
 
-Conditioning is plain Gaussian linear algebra: given the first j coordinates,
-the remaining block has mean map Sigma_fp Sigma_pp^{-1} and covariance the
-Schur complement Sigma_ff - Sigma_fp Sigma_pp^{-1} Sigma_pf.  Conditional
-expectations of smooth functions of future coordinates integrate with
-tensorized Gauss-Hermite quadrature (probabilists' weights, whitened by a
-Cholesky factor of the Schur block) or by Monte Carlo.
+Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
+X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
+the first j coordinates alone, so given them
+
+    E[X_i | X_{:j}] = sum_{r<j} L[i, r] Z_r,    Cov = L[:, j:] L[:, j:]^T.
+
+An observed coordinate (i < j) has an all-zero row L[i, j:], hence a
+conditional variance of exactly 0.  Conditional expectations of smooth
+functions of future coordinates integrate with tensorized Gauss-Hermite
+quadrature (probabilists' weights, whitened by a Cholesky factor of the
+conditional covariance) or by Monte Carlo.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from scipy.linalg import solve_triangular
 
 from .energy import GramContext
 from .errors import IllConditionedModelError, UnsupportedDimensionError
@@ -60,6 +67,7 @@ CHUNK_ROWS = 16384
 
 _ENSEMBLE_MAGIC = b"RGCE"
 _ENSEMBLE_VERSION = 1
+_HEADER = struct.Struct("<IQQQ")  # version, m, n, seed
 
 
 @dataclass(frozen=True)
@@ -197,22 +205,33 @@ def write_ensemble(path, ens: PathEnsemble) -> None:
     """Binary layout: magic, version u32, m u64, n u64, seed u64, then
     row-major little-endian float64 path data."""
     m, n = ens.paths.shape
-    header = _ENSEMBLE_MAGIC + struct.pack("<IQQQ", _ENSEMBLE_VERSION, m, n, ens.seed)
+    header = _ENSEMBLE_MAGIC + _HEADER.pack(_ENSEMBLE_VERSION, m, n, ens.seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(ens.paths.astype("<f8").tobytes(order="C"))
 
 
 def read_ensemble(path) -> tuple[np.ndarray, int]:
-    """Returns (paths, seed); validates magic and version."""
+    """Returns (paths, seed); validates magic, version and byte counts."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _ENSEMBLE_MAGIC:
             raise ValueError(f"not an ensemble file (magic {magic!r})")
-        version, m, n, seed = struct.unpack("<IQQQ", fh.read(28))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"truncated ensemble header: expected {_HEADER.size} "
+                             f"bytes, got {len(header)}")
+        version, m, n, seed = _HEADER.unpack(header)
         if version != _ENSEMBLE_VERSION:
             raise ValueError(f"unsupported ensemble version {version}")
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8").reshape(m, n)
+        # compare sizes before reading, so a corrupt header cannot ask for
+        # an arbitrarily large buffer
+        expected = 8 * m * n
+        actual = os.fstat(fh.fileno()).st_size - fh.tell()
+        if actual != expected:
+            raise ValueError(f"ensemble payload of {m} x {n} paths needs "
+                             f"{expected} bytes, file holds {actual}")
+        data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(m, n)
     return data.copy(), seed
 
 
@@ -220,7 +239,7 @@ def read_ensemble(path) -> tuple[np.ndarray, int]:
 class ConditionalLaw:
     """Law of the trailing block given the first j coordinates.
 
-    mean shift = mean_map @ prefix; covariance is the Schur complement and
+    mean shift = mean_map @ prefix; the covariance L[j:, j:] L[j:, j:]^T
     does not depend on the prefix.
     """
 
@@ -230,15 +249,7 @@ class ConditionalLaw:
 
 
 def conditional_law(ctx: GramContext, j: int) -> ConditionalLaw:
-    if not 0 <= j <= ctx.n:
-        raise ValueError(f"adapted index {j} out of range 0..{ctx.n}")
-    sigma = ctx.sigma
-    if j == 0:
-        return ConditionalLaw(0, np.zeros((ctx.n, 0)), sigma.copy())
-    fut = np.arange(j, ctx.n)
-    beta = ctx.solve_leading(j, sigma[:j, fut]) if fut.size else np.zeros((j, 0))
-    cov = sigma[np.ix_(fut, fut)] - sigma[np.ix_(fut, np.arange(j))] @ beta
-    cov = 0.5 * (cov + cov.T)
+    beta, cov = regression_coefficients(ctx, j, np.arange(j, ctx.n))
     return ConditionalLaw(j, beta.T, cov)
 
 
@@ -247,18 +258,19 @@ def regression_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional law of X[idx] given the first j coordinates.
 
-    Returns (beta, cov): E[X[idx] | prefix] = beta.T @ prefix with beta of
-    shape (j, k), and cov the k x k Schur block.  idx may contain observed
-    indices (< j); those rows come out as exact interpolation with zero
-    conditional variance, up to solver roundoff.
+    Returns (beta, cov): E[X[idx] | prefix] = beta.T @ prefix with
+    beta = L[:j, :j]^{-T} L[idx, :j]^T of shape (j, k), and the k x k
+    covariance cov = L[idx, j:] L[idx, j:]^T.  idx may contain observed
+    indices (< j): their rows of L[idx, j:] are zero, so their conditional
+    variance is exactly 0.
     """
+    if not 0 <= j <= ctx.n:
+        raise ValueError(f"adapted index {j} out of range 0..{ctx.n}")
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
-    if j == 0:
-        return np.zeros((0, idx.size)), ctx.sigma[np.ix_(idx, idx)].copy()
-    beta = np.asarray(ctx.solve_leading(j, ctx.sigma[:j, idx]))
-    cov = ctx.sigma[np.ix_(idx, idx)] - ctx.sigma[np.ix_(idx, np.arange(j))] @ beta
-    cov = 0.5 * (cov + cov.T)
-    return beta, cov
+    chol = ctx.chol
+    beta = solve_triangular(chol[:j, :j], chol[idx, :j].T, lower=True, trans="T")
+    tail = chol[idx, j:]
+    return beta, tail @ tail.T
 
 
 def _chol_psd(cov: np.ndarray) -> np.ndarray:

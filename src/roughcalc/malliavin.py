@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .energy import GramContext
 from .errors import MissingGradientError
@@ -172,11 +173,25 @@ def field_coefficients(field: VectorField, paths: np.ndarray) -> np.ndarray:
     return a @ field.directions
 
 
-def divergence(ctx: GramContext, field: VectorField, paths: np.ndarray) -> np.ndarray:
-    """delta(u) per path row."""
+def divergence(
+    ctx: GramContext,
+    field: VectorField,
+    paths: np.ndarray,
+    coeff_paths: np.ndarray | None = None,
+    chain: float = 1.0,
+) -> np.ndarray:
+    """delta(u) per path row.
+
+    The coefficient rules read ``coeff_paths`` (default ``paths``).  A
+    component field of a mixture reads the mixture while its directions live
+    in the component whose ``ctx`` and ``paths`` are passed; ``chain`` is
+    d(mixture)/d(component), the chain-rule factor of the correction term.
+    """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
+    if coeff_paths is None:
+        coeff_paths = paths
     incr = paths @ field.directions.T
-    a = np.asarray(field.coeff_fn(paths), dtype=float)
+    a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
     out = (a * incr).sum(axis=-1)
     if not field.deterministic:
         if field.grad_dot is None:
@@ -185,8 +200,8 @@ def divergence(ctx: GramContext, field: VectorField, paths: np.ndarray) -> np.nd
                 "divergence correction term"
             )
         v = field.directions @ ctx.sigma
-        corr = np.asarray(field.grad_dot(paths, v), dtype=float)
-        out = out - (corr.sum() if corr.ndim == 1 else corr.sum(axis=-1))
+        corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
+        out = out - chain * (corr.sum() if corr.ndim == 1 else corr.sum(axis=-1))
     return out
 
 
@@ -215,6 +230,18 @@ def isometry_defect_affine(ctx: GramContext, field: AffineField) -> float:
     q = field.directions.T @ field.lin
     qs = q @ ctx.sigma
     return float(np.trace(qs @ qs))
+
+
+def _smoothed(maps, mu: np.ndarray, sd: np.ndarray, nodes: int) -> np.ndarray:
+    """Column i is E[maps[i](mu[:, i] + sd[i] Z)], Z ~ N(0, 1); a column
+    with sd[i] == 0 (an observed coordinate) is evaluated directly."""
+    out = np.empty(mu.shape)
+    for i, h in enumerate(maps):
+        if sd[i] == 0.0:
+            out[:, i] = h(mu[:, i])
+        else:
+            out[:, i] = expect_scalar(h, mu[:, i], sd[i], nodes)
+    return out
 
 
 def conditional_gradient(
@@ -251,15 +278,7 @@ def conditional_gradient(
                 )
         return out
     beta, cov = regression_coefficients(ctx, j, idx)
-    sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    mu = prefixes[:, :j] @ beta if j else np.zeros((prefixes.shape[0], idx.size))
-    out = np.empty((prefixes.shape[0], fn.k))
-    for i in range(fn.k):
-        if sd[i] == 0.0:
-            out[:, i] = np.asarray(maps[i](mu[:, i]), dtype=float)
-        else:
-            out[:, i] = expect_scalar(maps[i], mu[:, i], sd[i], nodes)
-    return out
+    return _smoothed(maps, prefixes[:, :j] @ beta, np.sqrt(np.diag(cov)), nodes)
 
 
 def conditional_value(
@@ -280,15 +299,9 @@ def conditional_value(
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
     idx = np.asarray(fn.indices, dtype=int)
     beta, cov = regression_coefficients(ctx, j, idx)
-    sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    mu = prefixes[:, :j] @ beta if j else np.zeros((prefixes.shape[0], idx.size))
-    out = np.full(prefixes.shape[0], fn.f_const)
-    for i in range(fn.k):
-        if sd[i] == 0.0:
-            out = out + np.asarray(fn.diag_terms[i](mu[:, i]), dtype=float)
-        else:
-            out = out + expect_scalar(fn.diag_terms[i], mu[:, i], sd[i], nodes)
-    return out
+    terms = _smoothed(fn.diag_terms, prefixes[:, :j] @ beta,
+                      np.sqrt(np.diag(cov)), nodes)
+    return fn.f_const + terms.sum(axis=1)
 
 
 def predictable_projection(
@@ -306,9 +319,8 @@ def predictable_projection(
     if j == 0:
         return out
     cond = conditional_gradient(ctx, fn, j, prefix[None, :j], nodes=nodes)[0]
-    idx = np.asarray(fn.indices, dtype=int)
-    y = ctx.solve_leading(j, ctx.sigma[:j, idx])
-    out[:j] = y @ cond
+    beta, _ = regression_coefficients(ctx, j, fn.indices)
+    out[:j] = beta @ cond
     return out
 
 
@@ -316,42 +328,19 @@ def innovation_directions(ctx: GramContext) -> np.ndarray:
     """Rows w_s = e_s - P_s k_{t_s}: each grid evaluation stripped of its
     projection onto the observed prefix.
 
-    I(w_s) is the slot-s innovation X_{t_s} - E[X_{t_s} | X_{t_1..t_{s-1}}],
-    orthogonal to the first s coordinates in the energy geometry.  At
+    With X = L Z, I(w_s) is the slot-s innovation X_{t_s} - E[X_{t_s} |
+    X_{t_1..t_{s-1}}] = L[s, s] Z_s, so the rows are w = diag(L) L^{-1},
+    with unit diagonal (set exactly) and zeros above it.  Then w Sigma =
+    diag(L) L^T is upper triangular: w_s is orthogonal to the first s
+    coordinates in the energy geometry, and ||w_s||^2 = L[s, s]^2.  At
     H = 1/2 the projection is P_s k_{t_s} = k_{t_{s-1}} and these reduce to
     the raw increment directions.
     """
-    n = ctx.n
-    w = np.eye(n)
-    for s in range(1, n):
-        w[s, :s] = -ctx.solve_leading(s, ctx.sigma[:s, s])
+    chol = ctx.chol
+    w = solve_triangular(chol, np.eye(ctx.n), lower=True)
+    w *= np.diag(chol)[:, None]
+    np.fill_diagonal(w, 1.0)
     return w
-
-
-@dataclass(frozen=True)
-class _ClarkTables:
-    """Per-slot precomputation for the Clark field of one functional."""
-
-    betas: tuple[np.ndarray, ...]  # (s, k) regression of X[idx] on first s coords
-    sds: np.ndarray                # (n_slots, k) conditional std devs
-    gains: np.ndarray              # (n_slots, k) <k_idx, w_s>/||w_s||^2
-    directions: np.ndarray         # (n_slots, n) innovation directions
-
-
-def _clark_tables(ctx: GramContext, fn: CylindricalFunctional) -> _ClarkTables:
-    n = ctx.n
-    idx = np.asarray(fn.indices, dtype=int)
-    betas = []
-    sds = np.empty((n, fn.k))
-    for s in range(n):
-        beta, cov = regression_coefficients(ctx, s, idx)
-        betas.append(np.asarray(beta).reshape(s, fn.k))
-        sds[s] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    w = innovation_directions(ctx)
-    sw = w @ ctx.sigma
-    norm2 = np.einsum("sj,sj->s", sw, w)
-    gains = sw[:, idx] / norm2[:, None]
-    return _ClarkTables(tuple(betas), sds, gains, w)
 
 
 def clark_integrand(
@@ -372,48 +361,62 @@ def clark_integrand(
     refinement.  Pairing the raw increment k_{t_s} - k_{t_{s-1}} instead
     leaves an O(1) residual for H < 1/2: the predictable part of each
     increment feeds noise back into delta.
+
+    Every piece is read off the Cholesky factor L, with Z = L^{-1} X:
+
+        E[X_i | X_{< s}]   = sum_{r<s} L[i, r] Z_r    (running prefix sums)
+        Var[X_i | X_{< s}] = sum_{r>=s} L[i, r]^2     (tail sums; exactly 0
+                                                       for observed i < s)
+        <k_{t_i}, w_s> / ||w_s||^2 = L[i, s] / L[s, s].
+
+    ``grad_dot(paths, v)`` contracts the prefix gradient of a_s with
+    v[s, :s].  That gradient is a combination of rows of L[:s, :s]^{-1}, so
+    it annihilates (w Sigma)[s, :s] = 0; only v - w Sigma is contracted,
+    which gives the same value for any v and exactly 0 for the field's own
+    correction term v = w Sigma.
     """
     if fn.diag is None or fn.diag_deriv is None:
         raise ValueError(
             f"functional {fn.name!r} lacks diagonal gradient maps; the Clark "
             "field needs per-coordinate conditional expectations"
         )
-    tables = _clark_tables(ctx, fn)
+    chol = ctx.chol
     n = ctx.n
-    k = fn.k
+    rows = chol[np.asarray(fn.indices, dtype=int)]      # (k, n): L[i, :]
+    sds = np.sqrt(np.cumsum(rows[:, ::-1] ** 2, axis=1)[:, ::-1]).T  # (n, k)
+    gains = (rows / np.diag(chol)).T                   # (n, k)
+    w = innovation_directions(ctx)
+    w_sigma = w @ ctx.sigma
 
-    def _cond(paths, s, use_deriv):
-        mu = paths[:, :s] @ tables.betas[s] if s else np.zeros((paths.shape[0], k))
-        maps = fn.diag_deriv if use_deriv else fn.diag
-        out = np.empty((paths.shape[0], k))
-        for i in range(k):
-            sd = tables.sds[s, i]
-            if sd == 0.0:
-                out[:, i] = np.asarray(maps[i](mu[:, i]), dtype=float)
-            else:
-                out[:, i] = expect_scalar(maps[i], mu[:, i], sd, nodes)
+    def slot_sums(paths, maps, weights):
+        """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i]."""
+        paths = np.atleast_2d(np.asarray(paths, dtype=float))
+        # Z = L^{-1} x, row by row Z_s = I(w_s) / L[s, s], fills the output;
+        # slot s overwrites Z_s once the prefix sums have taken it in.
+        out = paths @ w.T
+        out /= np.diag(chol)
+        mu = np.zeros((out.shape[0], fn.k))
+        for s in range(n):
+            a_s = (_smoothed(maps, mu, sds[s], nodes) @ weights[s]
+                   if weights[s].any() else 0.0)
+            mu += out[:, s, None] * rows[:, s]
+            out[:, s] = a_s
         return out
 
     def coeff_fn(paths):
-        paths = np.atleast_2d(paths)
-        a = np.zeros((paths.shape[0], n))
-        for s in range(n):
-            a[:, s] = _cond(paths, s, use_deriv=False) @ tables.gains[s]
-        return a
+        return slot_sums(paths, fn.diag, gains)
 
     def grad_dot(paths, v):
-        paths = np.atleast_2d(paths)
-        out = np.zeros((paths.shape[0], n))
-        for s in range(1, n):
-            r = tables.betas[s].T @ v[s, :s]
-            scal = tables.gains[s] * r
-            if not scal.any():
-                continue
-            out[:, s] = _cond(paths, s, use_deriv=True) @ scal
-        return out
+        # column s of y is L^{-1} (v - w Sigma)[s]; its entries r < s give
+        # the contraction sum_{r<s} L[i, r] y[r, s] per coordinate i
+        y = solve_triangular(chol, (v - w_sigma).T, lower=True)
+        scal = gains * (rows @ np.triu(y, 1)).T
+        if not scal.any():
+            return np.zeros((np.atleast_2d(paths).shape[0], n))
+        return slot_sums(paths, fn.diag_deriv, scal)
 
     return VectorField(
-        directions=tables.directions,
+        directions=w,
         coeff_fn=coeff_fn,
         grad_dot=grad_dot,
         deterministic=False,

@@ -19,20 +19,21 @@ leading draws), alpha = 0 the fractional one.
 
 Conditioning is always on the observable filtration of X itself, whose Gram
 Sigma_X = alpha^2 Sigma_B + beta^2 Sigma_H is the MIXED covariance model, so
-the single-process conditioning machinery applies unchanged.
+the single-process conditioning machinery applies unchanged, and so do the
+single-process divergence, pairing and norm, applied per component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import GramContext
-from .errors import MissingGradientError
 from .functionals import CylindricalFunctional
-from .gaussian import RngStream, _fill_chunks, expect_scalar, regression_coefficients
-from .malliavin import VectorField, innovation_directions
+from .gaussian import RngStream, _fill_chunks
+from .malliavin import (VectorField, clark_integrand, derivative_pairing,
+                        divergence, field_norm_sq)
 from .models import CovarianceModel, TimeGrid
 
 __all__ = ["MixedContext", "MixedEnsemble", "mixed_derivative_pair",
@@ -118,28 +119,6 @@ def mixed_derivative_pair(
     return mctx.alpha * base, mctx.beta * base
 
 
-def _component_divergence(
-    ctx: GramContext,
-    field: VectorField,
-    component_paths: np.ndarray,
-    coeff_paths: np.ndarray,
-    chain: float,
-) -> np.ndarray:
-    """delta of a field whose rules read the mixture while its directions
-    live in one component; ``chain`` is d(mixture)/d(component)."""
-    incr = component_paths @ field.directions.T
-    a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
-    out = (a * incr).sum(axis=-1)
-    if not field.deterministic:
-        if field.grad_dot is None:
-            raise MissingGradientError("component field needs gradient rules")
-        v = field.directions @ ctx.sigma
-        corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
-        corr_sum = corr.sum() if corr.ndim == 1 else corr.sum(axis=-1)
-        out = out - chain * corr_sum
-    return out
-
-
 def mixed_divergence(
     mctx: MixedContext,
     field_b: VectorField | None,
@@ -149,23 +128,12 @@ def mixed_divergence(
     """delta(u, v) = delta_B(u) + delta_H(v); coefficient rules read X."""
     out = np.zeros(ens.m)
     if field_b is not None:
-        out = out + _component_divergence(
-            mctx.ctx_b, field_b, ens.paths_b, ens.paths_x, mctx.alpha
-        )
+        out = out + divergence(mctx.ctx_b, field_b, ens.paths_b, ens.paths_x,
+                               mctx.alpha)
     if field_h is not None:
-        out = out + _component_divergence(
-            mctx.ctx_h, field_h, ens.paths_h, ens.paths_x, mctx.beta
-        )
+        out = out + divergence(mctx.ctx_h, field_h, ens.paths_h, ens.paths_x,
+                               mctx.beta)
     return out
-
-
-def _component_pairing(ctx, grads, indices, field, coeff_paths, weight):
-    a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
-    v = a @ field.directions
-    pairing = v @ ctx.sigma[:, list(indices)]
-    if pairing.ndim == 1:
-        pairing = np.broadcast_to(pairing, grads.shape)
-    return weight * (grads * pairing).sum(axis=-1)
 
 
 def mixed_pairing(
@@ -175,17 +143,14 @@ def mixed_pairing(
     field_h: VectorField | None,
     ens: MixedEnsemble,
 ) -> np.ndarray:
-    """<DF, (u, v)> per path in the direct-sum geometry."""
-    grads = fn.gradient(ens.paths_x)
+    """<DF, (u, v)> = alpha <DF, u>_B + beta <DF, v>_H per path."""
     out = np.zeros(ens.m)
     if field_b is not None:
-        out = out + _component_pairing(
-            mctx.ctx_b, grads, fn.indices, field_b, ens.paths_x, mctx.alpha
-        )
+        out = out + mctx.alpha * derivative_pairing(mctx.ctx_b, fn, field_b,
+                                                    ens.paths_x)
     if field_h is not None:
-        out = out + _component_pairing(
-            mctx.ctx_h, grads, fn.indices, field_h, ens.paths_x, mctx.beta
-        )
+        out = out + mctx.beta * derivative_pairing(mctx.ctx_h, fn, field_h,
+                                                   ens.paths_x)
     return out
 
 
@@ -195,13 +160,12 @@ def mixed_field_norm_sq(
     field_h: VectorField | None,
     ens: MixedEnsemble,
 ) -> np.ndarray:
+    """||(u, v)||^2 = ||u||^2_B + ||v||^2_H per path."""
     out = np.zeros(ens.m)
-    for ctx, field in ((mctx.ctx_b, field_b), (mctx.ctx_h, field_h)):
-        if field is None:
-            continue
-        a = np.asarray(field.coeff_fn(ens.paths_x), dtype=float)
-        v = np.atleast_2d(a @ field.directions)
-        out = out + ((v @ ctx.sigma) * v).sum(axis=-1)
+    if field_b is not None:
+        out = out + field_norm_sq(mctx.ctx_b, field_b, ens.paths_x)
+    if field_h is not None:
+        out = out + field_norm_sq(mctx.ctx_h, field_h, ens.paths_x)
     return out
 
 
@@ -210,72 +174,24 @@ def mixed_clark_fields(
 ) -> tuple[VectorField, VectorField]:
     """Componentwise Clark fields for the mixture's martingale factorization.
 
-    The slot-s direction is the X-innovation representer w_s = k^X_{t_s} -
-    P_s k^X_{t_s} computed in the Sigma_X geometry; its component pair is
-    (alpha w_s, beta w_s) with the SAME coefficient vector, because
-    observing X pins the two components only jointly.  The shared scalar
-    coefficient
-
-        a_s = sum_i E[(d_i f)(X) | X_{< s}] <k_{t_i}, w_s>_X / ||w_s||^2_X
-
-    makes alpha a_s I_B(w_s) + beta a_s I_H(w_s) = a_s (X-innovation), the
-    best prefix-measurable multiple of the innovation of X, exactly as in
-    the single-process field.  weight_B = alpha and weight_H = beta sit in
-    the component coefficients (chain rule); at weight 0 a component field
-    is identically zero and the other one reproduces the pure pipeline.
+    Both components carry the Clark field of X in its own filtration,
+    clark_integrand(ctx_x, fn), scaled by alpha and by beta: the slot-s
+    direction pair is (w_s, w_s) with w_s the X-innovation, because
+    observing X pins the two components only jointly.  Then alpha a_s
+    I_B(w_s) + beta a_s I_H(w_s) = a_s I_X(w_s), and the two corrections,
+    alpha^2 <D a_s, w_s>_B and beta^2 <D a_s, w_s>_H, sum to the single
+    correction in the Sigma_X geometry, so mixed_divergence of the pair is
+    divergence(ctx_x, clark_integrand(ctx_x, fn), paths_x).  At weight 0 a
+    component field is identically zero and the other one reproduces the
+    pure pipeline.
     """
-    if fn.diag is None or fn.diag_deriv is None:
-        raise ValueError("mixed Clark fields need diagonal gradient maps")
-    n = mctx.n
-    k = fn.k
-    idx = np.asarray(fn.indices, dtype=int)
-    betas = []
-    sds = np.empty((n, k))
-    for s in range(n):
-        beta, cov = regression_coefficients(mctx.ctx_x, s, idx)
-        betas.append(np.asarray(beta).reshape(s, k))
-        sds[s] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    w = innovation_directions(mctx.ctx_x)
-    sw = w @ mctx.ctx_x.sigma
-    norm2 = np.einsum("sj,sj->s", sw, w)
-    gains = sw[:, idx] / norm2[:, None]
+    field = clark_integrand(mctx.ctx_x, fn, nodes=nodes)
 
-    def _cond(paths, s, use_deriv):
-        mu = paths[:, :s] @ betas[s] if s else np.zeros((paths.shape[0], k))
-        maps = fn.diag_deriv if use_deriv else fn.diag
-        out = np.empty((paths.shape[0], k))
-        for i in range(k):
-            sd = sds[s, i]
-            if sd == 0.0:
-                out[:, i] = np.asarray(maps[i](mu[:, i]), dtype=float)
-            else:
-                out[:, i] = expect_scalar(maps[i], mu[:, i], sd, nodes)
-        return out
-
-    def _component(weight):
-        def coeff_fn(paths):
-            paths = np.atleast_2d(paths)
-            a = np.zeros((paths.shape[0], n))
-            for s in range(n):
-                a[:, s] = weight * (_cond(paths, s, use_deriv=False) @ gains[s])
-            return a
-
-        def grad_dot(paths, v):
-            paths = np.atleast_2d(paths)
-            out = np.zeros((paths.shape[0], n))
-            for s in range(1, n):
-                scal = gains[s] * (betas[s].T @ v[s, :s])
-                if not scal.any():
-                    continue
-                out[:, s] = weight * (_cond(paths, s, use_deriv=True) @ scal)
-            return out
-
-        return VectorField(
-            directions=w,
-            coeff_fn=coeff_fn,
-            grad_dot=grad_dot,
-            deterministic=False,
-            predictable=True,
+    def scaled(weight: float) -> VectorField:
+        return replace(
+            field,
+            coeff_fn=lambda paths: weight * field.coeff_fn(paths),
+            grad_dot=lambda paths, v: weight * field.grad_dot(paths, v),
         )
 
-    return _component(mctx.alpha), _component(mctx.beta)
+    return scaled(mctx.alpha), scaled(mctx.beta)

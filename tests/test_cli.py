@@ -74,6 +74,22 @@ def test_bad_value_exits_one() -> None:
     assert run_cli("simulate", "--hurst", "1.5") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--set", "horizon=-1"),
+    ("factorize", "--set", "nodes=0"),
+    ("factorize", "--set", "functional=nope"),
+    ("factorize", "--set", "grid_sweep=0,8"),
+    ("lemma", "--set", "hurst_sweep=0.3,1.5"),
+    ("adjointness", "--set", "functional=nope"),
+])
+def test_invalid_input_exits_one_without_traceback(argv, tmp_path, capsys) -> None:
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("config error") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_mixed_subcommand_defaults_to_mixed_model(tmp_path, capsys) -> None:
     rc = run_cli(
         "mixed", "--grid-n", "8", "--paths", "2000", "--out-dir",

@@ -78,11 +78,16 @@ def test_validation_errors() -> None:
         dict(grid_n=0),
         dict(workers=0),
         dict(spacing="chebyshev"),
-        dict(method="guess"),
-        dict(sampler="turbo"),
         dict(model="mixed", alpha=-0.5),
         dict(model="mixed", alpha=0.0, beta=0.0),
         dict(spacing="explicit", times=None),
+        dict(horizon=-1.0),
+        dict(horizon=0.0),
+        dict(nodes=0),
+        dict(functional="nope"),
+        dict(hurst_sweep=(0.3, 1.5)),
+        dict(hurst_sweep=(0.0,)),
+        dict(grid_sweep=(0, 8)),
     ):
         with pytest.raises(ConfigError):
             dataclasses.replace(DEFAULTS, **kw)

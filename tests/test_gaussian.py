@@ -111,6 +111,25 @@ def test_ensemble_io_rejects_foreign_file(tmp_path) -> None:
         read_ensemble(p)
 
 
+def test_ensemble_io_rejects_truncated_header(tmp_path) -> None:
+    ens = sample_ensemble(make_ctx(n=6), 17, seed=21)
+    p = tmp_path / "ens.bin"
+    write_ensemble(p, ens)
+    p.write_bytes(p.read_bytes()[:5])  # magic plus one byte
+    with pytest.raises(ValueError, match="expected 28 bytes, got 1"):
+        read_ensemble(p)
+
+
+def test_ensemble_io_rejects_short_payload(tmp_path) -> None:
+    ens = sample_ensemble(make_ctx(n=6), 17, seed=21)
+    p = tmp_path / "ens.bin"
+    write_ensemble(p, ens)
+    p.write_bytes(p.read_bytes()[:-3])
+    with pytest.raises(ValueError, match=f"needs {8 * 17 * 6} bytes, file holds "
+                                         f"{8 * 17 * 6 - 3}"):
+        read_ensemble(p)
+
+
 def test_conditional_law_matches_dense_schur() -> None:
     ctx = make_ctx(h=0.25, n=8)
     s = ctx.sigma
@@ -143,6 +162,18 @@ def test_regression_coefficients_agree_with_law() -> None:
         assert np.max(np.abs(beta.T - law.mean_map[idx - j])) <= 1e-10
         want_cov = law.cov[np.ix_(idx - j, idx - j)]
         assert np.max(np.abs(cov - want_cov)) <= 1e-10
+
+
+def test_observed_coordinates_have_exactly_zero_variance() -> None:
+    # the Schur complement leaves roundoff of up to ~1e-8 in the standard
+    # deviation here; tail sums of the Cholesky factor give exact zeros
+    ctx = make_ctx(h=0.25, n=64)
+    idx = np.arange(ctx.n)
+    for j in range(ctx.n + 1):
+        _, cov = regression_coefficients(ctx, j, idx)
+        assert np.all(cov[:j, :] == 0.0)
+        assert np.all(cov[:, :j] == 0.0)
+        assert np.all(np.diag(cov)[j:] > 0.0)
 
 
 def test_quadrature_closed_forms() -> None:

@@ -168,6 +168,13 @@ def test_innovation_directions_orthogonal_to_prefix() -> None:
         assert np.all(w[s, s + 1 :] == 0.0)
         for i in range(s):
             assert abs(inner_product(ctx, w[s], representer(ctx, i))) <= 1e-10
+    for n in (256, 1024):
+        ctx = make_ctx(h=0.25, n=n)
+        w = innovation_directions(ctx)
+        assert np.all(np.diag(w) == 1.0)
+        assert np.all(np.triu(w, 1) == 0.0)
+        # (w Sigma)[s, i] = <w_s, k_{t_i}> for every prefix coordinate i < s
+        assert np.max(np.abs(np.tril(w @ ctx.sigma, -1))) <= 1e-10
 
 
 def test_predictable_projection_single_prefix_contract() -> None:
@@ -207,6 +214,19 @@ def test_clark_exact_for_brownian_linear() -> None:
     mean = conditional_value(ctx, fn, 0, np.zeros((1, ctx.n)))[0]
     resid = fn.values(paths) - mean - delta
     assert float(np.max(resid**2)) <= 1e-20
+
+
+def test_clark_correction_is_exactly_zero() -> None:
+    # each innovation is orthogonal to its prefix, so the divergence
+    # correction of the Clark field vanishes identically
+    for name in ("quadratic", "integral_sin", "terminal_exp"):
+        ctx = make_ctx(h=0.25, n=16)
+        fn = make_functional(name, ctx.grid)
+        field = clark_integrand(ctx, fn)
+        paths = sample_ensemble(ctx, 50, seed=15).paths
+        corr = field.grad_dot(paths, field.directions @ ctx.sigma)
+        assert corr.shape == (50, ctx.n)
+        assert np.all(corr == 0.0)
 
 
 def test_closed_clark_residual_matches_frozen_values() -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from roughcalc.functionals import make_functional
-from roughcalc.gaussian import sample_ensemble
+from roughcalc.gaussian import expect_scalar, sample_ensemble
 from roughcalc.malliavin import clark_integrand, conditional_value, divergence
 from roughcalc.mixed import (MixedContext, mixed_clark_fields,
                              mixed_derivative_pair, mixed_divergence,
@@ -19,6 +19,33 @@ from roughcalc.models import TimeGrid
 def make_mctx(alpha: float = 1.0, beta: float = 1.0, h: float = 0.25,
               n: int = 8) -> MixedContext:
     return MixedContext.build(alpha, beta, h, TimeGrid.uniform_grid(n))
+
+
+def per_slot_grad_dot(ctx, fn, paths, v):
+    """Reference Clark correction contraction from dense per-slot solves:
+    slot s gets sum_i E[f_i''(X_i) | X_<s] g_{s,i} (beta_s^T v[s, :s])_i,
+    with beta_s the Schur regression of X[idx] on the first s coordinates
+    and g_{s,i} = <k_{t_i}, w_s> / ||w_s||^2 for the innovation w_s."""
+    sig = ctx.sigma
+    idx = np.asarray(fn.indices)
+    out = np.zeros((paths.shape[0], ctx.n))
+    for s in range(1, ctx.n):
+        beta = np.linalg.solve(sig[:s, :s], sig[:s, idx])
+        cov = sig[np.ix_(idx, idx)] - sig[idx, :s] @ beta
+        sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        w = np.zeros(ctx.n)
+        w[s] = 1.0
+        w[:s] = -np.linalg.solve(sig[:s, :s], sig[:s, s])
+        sw = w @ sig
+        gains = sw[idx] / (sw @ w)
+        mu = paths[:, :s] @ beta
+        cond = np.column_stack([
+            fn.diag_deriv[i](mu[:, i]) * np.ones(len(paths)) if sd[i] == 0.0
+            else expect_scalar(fn.diag_deriv[i], mu[:, i], sd[i])
+            for i in range(fn.k)
+        ])
+        out[:, s] = cond @ (gains * (beta.T @ v[s, :s]))
+    return out
 
 
 def test_combined_gram_is_weighted_block_sum() -> None:
@@ -70,6 +97,35 @@ def test_componentwise_adjointness_small_scale() -> None:
         gap = lhs - rhs
         se = float(np.std(gap, ddof=1) / math.sqrt(m))
         assert abs(float(np.mean(gap))) <= 4.0 * se
+
+
+def test_component_clark_correction_matches_per_slot_formula() -> None:
+    # the component corrections do not vanish: w is orthogonal to the prefix
+    # under Sigma_X but not under Sigma_B or Sigma_H
+    mctx = make_mctx(alpha=1.0, beta=1.0, n=12)
+    ens = sample_mixed(mctx, 200, seed=29)
+    rng = np.random.default_rng(31)
+    for name in ("integral_sin", "quadratic", "two_time"):
+        fn = make_functional(name, mctx.ctx_x.grid)
+        fb, fh = mixed_clark_fields(mctx, fn)
+        for field, ctx in ((fb, mctx.ctx_b), (fh, mctx.ctx_h)):
+            for v in (field.directions @ ctx.sigma,
+                      rng.normal(size=(mctx.n, mctx.n))):
+                got = field.grad_dot(ens.paths_x, v)
+                want = per_slot_grad_dot(mctx.ctx_x, fn, ens.paths_x, v)
+                assert np.max(np.abs(want)) > 1e-3
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_mixed_clark_pair_collapses_to_mixture_field() -> None:
+    mctx = make_mctx(alpha=1.0, beta=1.0, n=12)
+    ens = sample_mixed(mctx, 500, seed=37)
+    for name in ("integral_sin", "quadratic"):
+        fn = make_functional(name, mctx.ctx_x.grid)
+        got = mixed_divergence(mctx, *mixed_clark_fields(mctx, fn), ens)
+        want = divergence(mctx.ctx_x, clark_integrand(mctx.ctx_x, fn),
+                          ens.paths_x)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_beta_zero_divergence_matches_pure_pipeline_bitwise() -> None:
