@@ -18,8 +18,7 @@ from .models import CovarianceModel, ModelKind, TimeGrid
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULTS"]
 
-_INT_KEYS = {"grid_n", "paths", "seed", "workers", "nodes", "offsets",
-             "elements"}
+_INT_KEYS = {"grid_n", "paths", "seed", "workers", "offsets", "elements"}
 _FLOAT_KEYS = {"hurst", "alpha", "beta", "horizon"}
 _STR_KEYS = {"model", "spacing", "functional", "out_dir"}
 _LIST_INT_KEYS = {"grid_sweep"}
@@ -49,7 +48,6 @@ class ExperimentConfig:
     hurst_sweep: tuple[float, ...] = (0.1, 0.25, 0.4, 0.5)
     offsets: int = 6
     elements: int = 100
-    nodes: int = 32
     out_dir: str = field(default_factory=lambda: os.environ.get("ROUGHCALC_OUT_DIR", "."))
 
     def __post_init__(self):
@@ -63,14 +61,18 @@ class ExperimentConfig:
             raise ConfigError("spacing=explicit requires a times list")
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
+        if self.times:
+            t = np.asarray(self.times, dtype=float)
+            if not (t[0] > 0.0 and np.all(np.diff(t) > 0.0) and t[-1] <= self.horizon):
+                raise ConfigError(
+                    "times must be strictly positive, strictly increasing and "
+                    f"<= horizon {self.horizon!r}, got {list(self.times)}")
         if self.grid_n < 1:
             raise ConfigError("grid_n must be >= 1")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
         if any(n < 1 for n in self.grid_sweep):
             raise ConfigError(f"grid_sweep sizes must be >= 1, got {list(self.grid_sweep)}")
-        if self.nodes < 1:
-            raise ConfigError("nodes must be >= 1")
         if self.functional not in catalog_names():
             raise ConfigError(f"unknown functional {self.functional!r}; "
                               f"choose from {', '.join(catalog_names())}")

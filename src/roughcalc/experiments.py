@@ -131,12 +131,11 @@ def _snap(grid, t: float) -> int:
     return grid.index_of(t, snap=True)
 
 
-def _exact_mean(ctx: GramContext, fn: CylindricalFunctional, nodes: int) -> float:
-    """E[F] by unconditional Gaussian quadrature (the j = 0 conditional
-    value).  Exact centering keeps the Brownian telescoping residual at
-    roundoff; a sample mean would put a Var(F)/m floor under it."""
-    return float(conditional_value(ctx, fn, 0, np.zeros((1, ctx.n)),
-                                   nodes=nodes)[0])
+def _exact_mean(ctx: GramContext, fn: CylindricalFunctional) -> float:
+    """E[F] as the j = 0 conditional value.  Exact centering keeps the
+    Brownian telescoping residual at roundoff; a sample mean would put a
+    Var(F)/m floor under it."""
+    return float(conditional_value(ctx, fn, 0, np.zeros((1, ctx.n)))[0])
 
 
 # --- test fields -------------------------------------------------------------
@@ -250,9 +249,9 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
         ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                               workers=cfg.workers)
         values = fn.values(ens.paths)
-        field = clark_integrand(ctx, fn, nodes=cfg.nodes)
+        field = clark_integrand(ctx, fn)
         delta = divergence(ctx, field, ens.paths)
-        resid_sq = (values - _exact_mean(ctx, fn, cfg.nodes) - delta) ** 2
+        resid_sq = (values - _exact_mean(ctx, fn) - delta) ** 2
         residual, se = _mean_se(resid_sq)
         residuals.append(residual)
         report.add(grid_n=n, residual=residual, se=se, jitter=ctx.gram.jitter)
@@ -321,8 +320,8 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     offsets = _dyadic_offset_indices(grid, i_s, cfg.offsets)
     idx = np.asarray(fn.indices, dtype=int)
 
-    m_s = conditional_value(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
-    cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
+    m_s = conditional_value(ctx, fn, j_s, ens.paths)
+    cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths)
     # (Pi DF)_s in adapted coordinates: the regression coefficients of X[idx].
     y_s, _ = regression_coefficients(ctx, j_s, idx)
 
@@ -331,7 +330,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     mean_r2 = []
     for i_t in offsets:
         j_t = i_t + 1
-        m_t = conditional_value(ctx, fn, j_t, ens.paths, nodes=cfg.nodes)
+        m_t = conditional_value(ctx, fn, j_t, ens.paths)
         pair_vec = y_s.T @ (ctx.sigma[:j_s, i_t] - ctx.sigma[:j_s, i_s])
         leading = cond_grad @ pair_vec
         r = m_t - m_s - leading
@@ -410,15 +409,14 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
         if len(steps) < 2:
             continue
         j_s = i_s + 1
-        m_s = conditional_value(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
-        cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths, nodes=cfg.nodes)
+        m_s = conditional_value(ctx, fn, j_s, ens.paths)
+        cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths)
         y_s, _ = regression_coefficients(ctx, j_s, idx)
         dm = {}
         dx = {}
         for k in steps:
             i_t = i_s + k
-            dm[k] = conditional_value(ctx, fn, i_t + 1, ens.paths,
-                                      nodes=cfg.nodes) - m_s
+            dm[k] = conditional_value(ctx, fn, i_t + 1, ens.paths) - m_s
             dx[k] = ens.paths[:, i_t] - ens.paths[:, i_s]
         num = sum(dm[k] * dx[k] for k in steps)
         den = sum(dx[k] ** 2 for k in steps)
@@ -814,9 +812,9 @@ def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
     # (see mixed_clark_fields), so the residual is taken in the X geometry.
     fn = make_functional(cfg.functional, grid)
     values = fn.values(ens.paths_x)
-    field = clark_integrand(mctx.ctx_x, fn, nodes=cfg.nodes)
+    field = clark_integrand(mctx.ctx_x, fn)
     delta = divergence(mctx.ctx_x, field, ens.paths_x)
-    resid_sq = (values - _exact_mean(mctx.ctx_x, fn, cfg.nodes) - delta) ** 2
+    resid_sq = (values - _exact_mean(mctx.ctx_x, fn) - delta) ** 2
     residual, se = _mean_se(resid_sq)
     exact_case = cfg.beta == 0.0 and cfg.functional == "linear"
     clark_ok = residual <= _EXACT_RESIDUAL_TOL if exact_case else True

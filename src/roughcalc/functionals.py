@@ -10,10 +10,12 @@ functionals F = int_0^T g(s, X_s) ds reduce to cylindrical ones by
 trapezoid quadrature over the grid (the pinned node at time 0 contributes a
 constant).
 
-Every catalog entry has a *diagonal* gradient: component i depends on x_i
-alone.  That structure is what makes predictable projections cheap (each
-conditional expectation is one-dimensional), so the catalog records the
-per-coordinate maps and their derivatives explicitly.
+Every catalog entry is separable, f(x) = f_const + sum_i h_i(x_i), so its
+gradient is *diagonal*: component i depends on x_i alone.  That structure is
+what makes predictable projections cheap (each conditional expectation is
+one-dimensional).  Each h_i is a `BasisMap`, a combination of 1, v, v^2,
+sin v, cos v and e^v; its derivatives and its Gaussian smoothings
+E[h(mu + sigma Z)] are read off the coefficients in closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from .models import TimeGrid
 
 __all__ = [
+    "BasisMap",
+    "smooth_basis",
     "CylindricalFunctional",
     "IntegralFunctional",
     "discretize_integral_functional",
@@ -34,6 +38,94 @@ __all__ = [
     "catalog_names",
     "make_functional",
 ]
+
+
+# Coefficient order of a BasisMap: 1, v, v^2, sin v, cos v, e^v.
+_BASIS = ("const", "v", "v2", "sin", "cos", "exp")
+
+# d/dv maps coefficients c to _DERIV @ c: 1' = 0, v' = 1, (v^2)' = 2v,
+# sin' = cos, cos' = -sin, exp' = exp.
+_DERIV = np.array([
+    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+])
+
+
+def smooth_basis(table, mu, var) -> np.ndarray:
+    """E[h(mu + sqrt(var) Z)], Z ~ N(0, 1), for maps h given by coefficients.
+
+    ``table`` holds coefficients along its last axis (length 6, in the
+    order 1, v, v^2, sin v, cos v, e^v); its leading axes broadcast against
+    ``mu`` and ``var``.  A (k, 6) table with mu of shape (m, k) and var of
+    shape (k,) smooths k maps, one per column, in one call.  The closed form
+    is, per basis element,
+
+        [1, mu, mu^2 + var, e^{-var/2} sin mu, e^{-var/2} cos mu,
+         e^{mu + var/2}],
+
+    and var = 0 gives h(mu) itself.  Basis elements with all-zero
+    coefficients are skipped.
+    """
+    c = np.moveaxis(np.asarray(table, dtype=float), -1, 0)
+    mu = np.asarray(mu, dtype=float)
+    var = np.asarray(var, dtype=float)
+    out = np.zeros(np.broadcast_shapes(c.shape[1:], mu.shape, var.shape))
+    if c[0].any():
+        out += c[0]
+    if c[1].any():
+        out += c[1] * mu
+    if c[2].any():
+        out += c[2] * (mu * mu + var)
+    if c[3].any() or c[4].any():
+        damp = np.exp(-0.5 * var)
+        if c[3].any():
+            out += (c[3] * damp) * np.sin(mu)
+        if c[4].any():
+            out += (c[4] * damp) * np.cos(mu)
+    if c[5].any():
+        out += c[5] * np.exp(mu + 0.5 * var)
+    return out
+
+
+class BasisMap:
+    """Scalar map h(v) = sum_b coeffs[b] basis_b(v) over the basis
+    (1, v, v^2, sin v, cos v, e^v), evaluated elementwise.
+
+    Callable like any per-coordinate map; ``deriv`` and ``smoothed`` are
+    exact and read only the coefficients.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.shape != (len(_BASIS),):
+            raise ValueError(f"need {len(_BASIS)} coefficients {_BASIS}, "
+                             f"got shape {coeffs.shape}")
+        coeffs.setflags(write=False)
+        self.coeffs = coeffs
+
+    @classmethod
+    def of(cls, **terms: float) -> "BasisMap":
+        """Build from named coefficients, e.g. ``BasisMap.of(sin=0.5)``."""
+        unknown = set(terms) - set(_BASIS)
+        if unknown:
+            raise ValueError(f"unknown basis names {sorted(unknown)}; known: {_BASIS}")
+        return cls([terms.get(b, 0.0) for b in _BASIS])
+
+    def __call__(self, v) -> np.ndarray:
+        return smooth_basis(self.coeffs, v, 0.0)
+
+    def deriv(self) -> "BasisMap":
+        return BasisMap(_DERIV @ self.coeffs)
+
+    def smoothed(self, mu, var) -> np.ndarray:
+        """E[h(mu + sqrt(var) Z)], Z ~ N(0, 1)."""
+        return smooth_basis(self.coeffs, mu, var)
 
 
 @dataclass(frozen=True)
@@ -45,7 +137,9 @@ class CylindricalFunctional:
     (d_i f)(x) = diag[i](x_i) and ``diag_deriv[i]`` its derivative; both are
     None for genuinely coupled gradients.  Separable functionals
     additionally record f(x) = f_const + sum_i diag_terms[i](x_i), which is
-    what makes exact conditional means of F itself cheap.
+    what makes exact conditional means of F itself cheap.  Maps that are
+    `BasisMap` instances are smoothed in closed form; any other callable
+    is integrated by Gauss-Hermite quadrature.
     """
 
     name: str
@@ -94,6 +188,18 @@ class IntegralFunctional:
     dxx_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _trapezoid_weights(grid: TimeGrid) -> tuple[float, np.ndarray]:
+    """Trapezoid weights over the nodes {0, t_1, ..., t_N}: the weight of
+    the pinned time-0 node, and the (N,) weights of the grid times."""
+    nodes = np.concatenate(([0.0], grid.times))
+    w_all = np.empty(nodes.size)
+    w_all[0] = 0.5 * (nodes[1] - nodes[0])
+    w_all[-1] = 0.5 * (nodes[-1] - nodes[-2])
+    if nodes.size > 2:
+        w_all[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
+    return float(w_all[0]), w_all[1:]
+
+
 def discretize_integral_functional(
     fn: IntegralFunctional, grid: TimeGrid
 ) -> CylindricalFunctional:
@@ -104,17 +210,10 @@ def discretize_integral_functional(
     functional over all N grid indices with diagonal gradient
     d_i f(x) = w_i * dx_g(t_i, x_i).
     """
-    t = grid.times
-    n = t.size
-    nodes = np.concatenate(([0.0], t))
-    w_all = np.empty(n + 1)
-    w_all[0] = 0.5 * (nodes[1] - nodes[0])
-    w_all[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    if n > 1:
-        w_all[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    const = w_all[0] * float(fn.g(0.0, 0.0))
-    w = w_all[1:]
-    times = t.copy()
+    w0, w = _trapezoid_weights(grid)
+    const = w0 * float(fn.g(0.0, 0.0))
+    times = grid.times.copy()
+    n = times.size
 
     def f(x):
         return const + np.asarray(fn.g(times, x)) @ w
@@ -194,82 +293,48 @@ def _snap_index(grid: TimeGrid, t: float) -> int:
     return i
 
 
+def _separable(name: str, indices, terms, f_const: float = 0.0) -> CylindricalFunctional:
+    """f(x) = f_const + sum_i terms[i](x_i) for BasisMap terms; the value,
+    the gradient and the diagonal maps are all read off their coefficients."""
+    table = np.array([t.coeffs for t in terms])  # (k, 6)
+    grad_table = table @ _DERIV.T
+    diag = tuple(t.deriv() for t in terms)
+    return CylindricalFunctional(
+        name=name,
+        indices=tuple(indices),
+        f=lambda x: f_const + smooth_basis(table, x, 0.0).sum(axis=-1),
+        grad=lambda x: smooth_basis(grad_table, x, 0.0),
+        diag=diag,
+        diag_deriv=tuple(d.deriv() for d in diag),
+        diag_terms=tuple(terms),
+        f_const=f_const,
+    )
+
+
 def make_functional(name: str, grid: TimeGrid) -> CylindricalFunctional:
     """Instantiate a catalog functional on a concrete grid.
 
     Reference times are fractions of the horizon; off-grid times snap to the
-    nearest grid point with a warning.
+    nearest grid point with a warning.  The integral entries are the
+    trapezoid reduction of `discretize_integral_functional`.
     """
     horizon = grid.horizon
     if name == "quadratic":
-        i = _snap_index(grid, horizon)
-        return CylindricalFunctional(
-            name=name,
-            indices=(i,),
-            f=lambda x: x[..., 0] ** 2,
-            grad=lambda x: 2.0 * x,
-            diag=(lambda v: 2.0 * v,),
-            diag_deriv=(lambda v: 2.0 * np.ones_like(v),),
-            diag_terms=(lambda v: np.asarray(v) ** 2,),
-        )
+        return _separable(name, (_snap_index(grid, horizon),), (BasisMap.of(v2=1.0),))
     if name == "two_time":
-        ia = _snap_index(grid, 0.5 * horizon)
-        ib = _snap_index(grid, horizon)
-        return CylindricalFunctional(
-            name=name,
-            indices=(ia, ib),
-            f=lambda x: np.sin(x[..., 0]) + np.cos(x[..., 1]),
-            grad=lambda x: np.stack([np.cos(x[..., 0]), -np.sin(x[..., 1])], axis=-1),
-            diag=(np.cos, lambda v: -np.sin(v)),
-            diag_deriv=(lambda v: -np.sin(v), lambda v: -np.cos(v)),
-            diag_terms=(np.sin, np.cos),
-        )
+        idx = (_snap_index(grid, 0.5 * horizon), _snap_index(grid, horizon))
+        return _separable(name, idx, (BasisMap.of(sin=1.0), BasisMap.of(cos=1.0)))
     if name == "linear":
         idx = [_snap_index(grid, frac * horizon) for frac in _LINEAR_FRACTIONS]
         if len(set(idx)) != len(idx):
             raise ValueError("grid too coarse to separate the linear functional's times")
-        coeffs = np.array(_LINEAR_COEFFS)
-
-        def _const(c):
-            return lambda v: np.full_like(np.asarray(v, dtype=float), c)
-
-        def _scaled(c):
-            return lambda v: c * np.asarray(v, dtype=float)
-
-        return CylindricalFunctional(
-            name=name,
-            indices=tuple(idx),
-            f=lambda x: x @ coeffs,
-            grad=lambda x: np.broadcast_to(coeffs, x.shape).copy(),
-            diag=tuple(_const(c) for c in coeffs),
-            diag_deriv=tuple(_const(0.0) for _ in coeffs),
-            diag_terms=tuple(_scaled(c) for c in coeffs),
-        )
+        return _separable(name, idx, tuple(BasisMap.of(v=c) for c in _LINEAR_COEFFS))
     if name == "terminal_exp":
-        i = _snap_index(grid, horizon)
-        return CylindricalFunctional(
-            name=name,
-            indices=(i,),
-            f=lambda x: np.exp(x[..., 0]),
-            grad=lambda x: np.exp(x),
-            diag=(np.exp,),
-            diag_deriv=(np.exp,),
-            diag_terms=(np.exp,),
-        )
-    if name == "integral_sin":
-        fn = IntegralFunctional(
-            name=name,
-            g=lambda s, x: np.sin(x),
-            dx_g=lambda s, x: np.cos(x),
-            dxx_g=lambda s, x: -np.sin(x),
-        )
-        return discretize_integral_functional(fn, grid)
-    if name == "integral_square":
-        fn = IntegralFunctional(
-            name=name,
-            g=lambda s, x: np.asarray(x) ** 2,
-            dx_g=lambda s, x: 2.0 * np.asarray(x),
-            dxx_g=lambda s, x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-        )
-        return discretize_integral_functional(fn, grid)
+        return _separable(name, (_snap_index(grid, horizon),), (BasisMap.of(exp=1.0),))
+    if name in ("integral_sin", "integral_square"):
+        g = BasisMap.of(sin=1.0) if name == "integral_sin" else BasisMap.of(v2=1.0)
+        w0, w = _trapezoid_weights(grid)
+        return _separable(name, range(grid.n),
+                          tuple(BasisMap(wi * g.coeffs) for wi in w),
+                          f_const=w0 * float(g(0.0)))
     raise KeyError(f"unknown functional {name!r}; known: {', '.join(_CATALOG)}")

@@ -29,11 +29,14 @@ An observed coordinate (i < j) has an all-zero row L[i, j:], hence a
 conditional variance of exactly 0.  Conditional expectations of smooth
 functions of future coordinates integrate with tensorized Gauss-Hermite
 quadrature (probabilists' weights, whitened by a Cholesky factor of the
-conditional covariance) or by Monte Carlo.
+conditional covariance) or by Monte Carlo.  The catalog functionals need
+none of this: their per-coordinate maps are smoothed in closed form
+(`functionals.smooth_basis`), so the quadrature serves user callables.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -288,9 +291,15 @@ MAX_QUADRATURE_DIM = 4
 DEFAULT_NODES = 32
 
 
+@functools.lru_cache(maxsize=8)
 def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite rule normalized to N(0, 1); the cached
+    arrays are read-only, so no caller can alter them for the next."""
     z, w = hermegauss(nodes)
-    return z, w / np.sqrt(2.0 * np.pi)
+    w = w / np.sqrt(2.0 * np.pi)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
 
 
 def conditional_expectation(
@@ -356,7 +365,9 @@ def expect_scalar(h, mu: np.ndarray, sd, nodes: int = DEFAULT_NODES) -> np.ndarr
 
     mu is (m,), sd scalar or (m,); h must broadcast elementwise.  Exact for
     polynomial h up to degree 2*nodes - 1, so affine and quadratic
-    integrands incur no quadrature error.
+    integrands incur no quadrature error.  It serves user-supplied maps;
+    the catalog's `BasisMap` maps have closed forms, which the tests check
+    against this rule.
     """
     mu = np.asarray(mu, dtype=float)
     sd = np.asarray(sd, dtype=float)

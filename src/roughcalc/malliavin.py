@@ -42,7 +42,7 @@ from scipy.linalg import solve_triangular
 
 from .energy import GramContext
 from .errors import MissingGradientError
-from .functionals import CylindricalFunctional
+from .functionals import BasisMap, CylindricalFunctional, smooth_basis
 from .gaussian import (DEFAULT_NODES, conditional_expectation, expect_scalar,
                        regression_coefficients)
 
@@ -232,16 +232,30 @@ def isometry_defect_affine(ctx: GramContext, field: AffineField) -> float:
     return float(np.trace(qs @ qs))
 
 
-def _smoothed(maps, mu: np.ndarray, sd: np.ndarray, nodes: int) -> np.ndarray:
-    """Column i is E[maps[i](mu[:, i] + sd[i] Z)], Z ~ N(0, 1); a column
-    with sd[i] == 0 (an observed coordinate) is evaluated directly."""
-    out = np.empty(mu.shape)
-    for i, h in enumerate(maps):
-        if sd[i] == 0.0:
-            out[:, i] = h(mu[:, i])
-        else:
-            out[:, i] = expect_scalar(h, mu[:, i], sd[i], nodes)
-    return out
+def _smoother(maps, nodes: int):
+    """smooth(mu, var, cols) with column j = E[maps[cols[j]](mu[:, j] +
+    sqrt(var[j]) Z)], Z ~ N(0, 1).
+
+    When every map is a `BasisMap`, all columns are smoothed in closed form
+    in one vectorized call on a (k, 6) coefficient table built here, once.
+    Other callables integrate by Gauss-Hermite quadrature column by column;
+    a column with var[j] == 0 (an observed coordinate) is evaluated
+    directly.
+    """
+    if all(isinstance(h, BasisMap) for h in maps):
+        table = np.array([h.coeffs for h in maps])
+        return lambda mu, var, cols: smooth_basis(table[cols], mu, var)
+
+    def quadrature(mu, var, cols):
+        out = np.empty(mu.shape)
+        for j, i in enumerate(cols):
+            if var[j] == 0.0:
+                out[:, j] = maps[i](mu[:, j])
+            else:
+                out[:, j] = expect_scalar(maps[i], mu[:, j], np.sqrt(var[j]), nodes)
+        return out
+
+    return quadrature
 
 
 def conditional_gradient(
@@ -278,7 +292,7 @@ def conditional_gradient(
                 )
         return out
     beta, cov = regression_coefficients(ctx, j, idx)
-    return _smoothed(maps, prefixes[:, :j] @ beta, np.sqrt(np.diag(cov)), nodes)
+    return _smoother(maps, nodes)(prefixes[:, :j] @ beta, np.diag(cov), np.arange(fn.k))
 
 
 def conditional_value(
@@ -291,16 +305,17 @@ def conditional_value(
     """E[F | first j coordinates] per prefix row, for separable functionals.
 
     Uses f(x) = f_const + sum_i diag_terms[i](x_i), so each conditional
-    expectation is a one-dimensional Gaussian integral (exact for
-    polynomial terms at the default node count).
+    expectation is a one-dimensional Gaussian integral: closed form for
+    `BasisMap` terms, Gauss-Hermite quadrature for other callables (exact
+    for polynomial terms at the default node count).
     """
     if fn.diag_terms is None:
         raise ValueError(f"functional {fn.name!r} is not separable")
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
     idx = np.asarray(fn.indices, dtype=int)
     beta, cov = regression_coefficients(ctx, j, idx)
-    terms = _smoothed(fn.diag_terms, prefixes[:, :j] @ beta,
-                      np.sqrt(np.diag(cov)), nodes)
+    terms = _smoother(fn.diag_terms, nodes)(prefixes[:, :j] @ beta, np.diag(cov),
+                                            np.arange(fn.k))
     return fn.f_const + terms.sum(axis=1)
 
 
@@ -383,13 +398,16 @@ def clark_integrand(
     chol = ctx.chol
     n = ctx.n
     rows = chol[np.asarray(fn.indices, dtype=int)]      # (k, n): L[i, :]
-    sds = np.sqrt(np.cumsum(rows[:, ::-1] ** 2, axis=1)[:, ::-1]).T  # (n, k)
+    tail_var = np.cumsum(rows[:, ::-1] ** 2, axis=1)[:, ::-1].T  # (n, k)
     gains = (rows / np.diag(chol)).T                   # (n, k)
     w = innovation_directions(ctx)
     w_sigma = w @ ctx.sigma
+    smooth_diag = _smoother(fn.diag, nodes)
+    smooth_deriv = _smoother(fn.diag_deriv, nodes)
 
-    def slot_sums(paths, maps, weights):
-        """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i]."""
+    def slot_sums(paths, smooth, weights):
+        """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i], with
+        only the coordinates of nonzero weight smoothed."""
         paths = np.atleast_2d(np.asarray(paths, dtype=float))
         # Z = L^{-1} x, row by row Z_s = I(w_s) / L[s, s], fills the output;
         # slot s overwrites Z_s once the prefix sums have taken it in.
@@ -397,14 +415,15 @@ def clark_integrand(
         out /= np.diag(chol)
         mu = np.zeros((out.shape[0], fn.k))
         for s in range(n):
-            a_s = (_smoothed(maps, mu, sds[s], nodes) @ weights[s]
-                   if weights[s].any() else 0.0)
+            cols = np.flatnonzero(weights[s])
+            a_s = (smooth(mu[:, cols], tail_var[s, cols], cols) @ weights[s, cols]
+                   if cols.size else 0.0)
             mu += out[:, s, None] * rows[:, s]
             out[:, s] = a_s
         return out
 
     def coeff_fn(paths):
-        return slot_sums(paths, fn.diag, gains)
+        return slot_sums(paths, smooth_diag, gains)
 
     def grad_dot(paths, v):
         # column s of y is L^{-1} (v - w Sigma)[s]; its entries r < s give
@@ -413,7 +432,7 @@ def clark_integrand(
         scal = gains * (rows @ np.triu(y, 1)).T
         if not scal.any():
             return np.zeros((np.atleast_2d(paths).shape[0], n))
-        return slot_sums(paths, fn.diag_deriv, scal)
+        return slot_sums(paths, smooth_deriv, scal)
 
     return VectorField(
         directions=w,

@@ -81,6 +81,8 @@ def test_bad_value_exits_one() -> None:
     ("factorize", "--set", "grid_sweep=0,8"),
     ("lemma", "--set", "hurst_sweep=0.3,1.5"),
     ("adjointness", "--set", "functional=nope"),
+    ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,0.2"),
+    ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,1.5"),
 ])
 def test_invalid_input_exits_one_without_traceback(argv, tmp_path, capsys) -> None:
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1

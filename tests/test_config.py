@@ -81,9 +81,11 @@ def test_validation_errors() -> None:
         dict(model="mixed", alpha=-0.5),
         dict(model="mixed", alpha=0.0, beta=0.0),
         dict(spacing="explicit", times=None),
+        dict(spacing="explicit", times=(0.5, 0.2)),
+        dict(spacing="explicit", times=(0.5, 1.5)),
+        dict(spacing="explicit", times=(0.0, 0.5)),
         dict(horizon=-1.0),
         dict(horizon=0.0),
-        dict(nodes=0),
         dict(functional="nope"),
         dict(hurst_sweep=(0.3, 1.5)),
         dict(hurst_sweep=(0.0,)),

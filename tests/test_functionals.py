@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from roughcalc.energy import GramContext
-from roughcalc.functionals import (CylindricalFunctional, IntegralFunctional,
-                                   catalog_names, discretize_integral_functional,
+from roughcalc.functionals import (BasisMap, CylindricalFunctional,
+                                   IntegralFunctional, catalog_names,
+                                   discretize_integral_functional,
                                    gradient_check, make_functional)
+from roughcalc.gaussian import expect_scalar
 from roughcalc.malliavin import conditional_value
 from roughcalc.models import CovarianceModel, TimeGrid
 
@@ -137,3 +139,26 @@ def test_diag_derivatives_consistent_with_gradient() -> None:
         g = fn.gradient(x)
         for i, d in enumerate(fn.diag):
             assert np.max(np.abs(np.asarray(d(sel[:, i])) - g[:, i])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("basis", range(6))
+def test_basis_derivative_matches_finite_differences(basis: int) -> None:
+    h = BasisMap(np.eye(6)[basis])
+    x = np.linspace(-2.0, 2.0, 11)
+    step = 1e-6
+    fd = (h(x + step) - h(x - step)) / (2.0 * step)
+    assert np.max(np.abs(h.deriv()(x) - fd)) <= 1e-7
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_closed_form_smoothing_matches_quadrature(name: str) -> None:
+    # E[h(mu + sd Z)] in closed form against 32-node Gauss-Hermite, for the
+    # value terms, the gradient maps and their derivatives; sd = 0 included
+    fn = make_functional(name, GRID)
+    mu = np.linspace(-2.0, 2.0, 9)
+    for maps in (fn.diag_terms, fn.diag, fn.diag_deriv):
+        for h in maps:
+            assert isinstance(h, BasisMap)
+            for sd in (0.0, 0.05, 0.5, 1.0):
+                want = expect_scalar(h, mu, sd)
+                assert np.max(np.abs(h.smoothed(mu, sd**2) - want)) <= 1e-12, name

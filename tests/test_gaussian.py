@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from roughcalc import gaussian
 from roughcalc.energy import GramContext
 from roughcalc.errors import UnsupportedDimensionError
 from roughcalc.gaussian import (CHUNK_ROWS, ConditionalLaw, PathEnsemble,
@@ -190,6 +191,16 @@ def test_quadrature_degenerate_sd_evaluates_directly() -> None:
     mu = np.array([0.4, -0.9])
     got = expect_scalar(np.exp, mu, np.zeros(2))
     assert np.max(np.abs(got - np.exp(mu))) <= 1e-15
+
+
+def test_hermite_rule_is_cached_read_only() -> None:
+    z, w = gaussian._hermite_nodes(16)
+    again = gaussian._hermite_nodes(16)
+    assert again[0] is z and again[1] is w
+    assert not z.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert float(w.sum()) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_conditional_expectation_unconditional_moments() -> None:

@@ -19,10 +19,15 @@ import pytest
 
 from roughcalc.energy import GramContext, inner_product, norm, representer
 from roughcalc.errors import MissingGradientError
-from roughcalc.functionals import CylindricalFunctional, make_functional
+from roughcalc import gaussian, malliavin
+from roughcalc.functionals import (CylindricalFunctional, IntegralFunctional,
+                                   catalog_names,
+                                   discretize_integral_functional,
+                                   make_functional)
 from roughcalc.gaussian import isonormal, sample_ensemble
 from roughcalc.malliavin import (affine_field, clark_integrand,
-                                 conditional_value, derivative,
+                                 conditional_gradient, conditional_value,
+                                 derivative,
                                  derivative_pairing, deterministic_field,
                                  divergence, field_coefficients,
                                  field_norm_sq, increment_directions,
@@ -274,3 +279,53 @@ def test_conditional_value_interpolates_between_mean_and_value() -> None:
     assert np.max(np.abs(full - fn.values(paths))) <= 1e-10
     nothing = conditional_value(ctx, fn, 0, paths)
     assert np.max(np.abs(nothing - ctx.sigma[-1, -1])) <= 1e-10
+
+
+def test_catalog_functionals_need_no_quadrature(monkeypatch) -> None:
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("catalog maps must be smoothed in closed form")
+
+    monkeypatch.setattr(gaussian, "expect_scalar", no_quadrature)
+    monkeypatch.setattr(malliavin, "expect_scalar", no_quadrature)
+    ctx = make_ctx(h=0.25, n=8)
+    paths = sample_ensemble(ctx, 20, seed=16).paths
+    v = np.random.default_rng(17).normal(size=(ctx.n, ctx.n))
+    for name in catalog_names():
+        fn = make_functional(name, ctx.grid)
+        field = clark_integrand(ctx, fn)
+        assert np.all(np.isfinite(field.coeff_fn(paths)))
+        assert np.all(np.isfinite(field.grad_dot(paths, v)))
+        for j in (0, 3, ctx.n):
+            assert np.all(np.isfinite(conditional_value(ctx, fn, j, paths)))
+            for use_deriv in (False, True):
+                got = conditional_gradient(ctx, fn, j, paths, use_deriv=use_deriv)
+                assert np.all(np.isfinite(got))
+
+
+def test_quadrature_path_matches_closed_form_clark(monkeypatch) -> None:
+    # the same integral functional from plain callables integrates by
+    # Gauss-Hermite; its Clark field must agree with the catalog's
+    calls = []
+    real = malliavin.expect_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(malliavin, "expect_scalar", counted)
+    ctx = make_ctx(h=0.25, n=16)
+    plain = discretize_integral_functional(
+        IntegralFunctional(name="plain_sin",
+                           g=lambda s, x: np.sin(x),
+                           dx_g=lambda s, x: np.cos(x),
+                           dxx_g=lambda s, x: -np.sin(x)),
+        ctx.grid)
+    catalog = make_functional("integral_sin", ctx.grid)
+    paths = sample_ensemble(ctx, 200, seed=18).paths
+    v = np.random.default_rng(19).normal(size=(ctx.n, ctx.n))
+    f_plain = clark_integrand(ctx, plain)
+    f_catalog = clark_integrand(ctx, catalog)
+    assert np.max(np.abs(f_plain.coeff_fn(paths) - f_catalog.coeff_fn(paths))) <= 1e-12
+    assert calls
+    assert np.max(np.abs(f_plain.grad_dot(paths, v)
+                         - f_catalog.grad_dot(paths, v))) <= 1e-12
