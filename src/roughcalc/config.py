@@ -14,17 +14,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .functionals import catalog_names
-from .models import CovarianceModel, ModelKind, TimeGrid
+from .models import CovarianceModel, TimeGrid
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULTS"]
-
-_INT_KEYS = {"grid_n", "paths", "seed", "workers", "offsets", "elements"}
-_FLOAT_KEYS = {"hurst", "alpha", "beta", "horizon"}
-_STR_KEYS = {"model", "spacing", "functional", "out_dir"}
-_LIST_INT_KEYS = {"grid_sweep"}
-_LIST_FLOAT_KEYS = {"times", "hurst_sweep"}
-_ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_INT_KEYS
-             | _LIST_FLOAT_KEYS)
 
 # Experiments making statistical claims refuse smaller ensembles.
 MIN_STATISTICAL_PATHS = 1000
@@ -81,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError(f"hurst_sweep values must lie in (0, 1), got {bad}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.elements < 1:
+            raise ConfigError("elements must be >= 1")
         if self.model == "mixed":
             if self.alpha < 0.0 or self.beta < 0.0:
                 raise ConfigError("mixed weights alpha/beta must be nonnegative")
@@ -131,20 +125,25 @@ class ExperimentConfig:
 DEFAULTS = ExperimentConfig()
 
 
+def _field_parser(annotation: str):
+    """Text parser of one config field, read off its annotation: int, float,
+    str, or a comma-separated tuple[int, ...] / tuple[float, ...]."""
+    if annotation.startswith("tuple["):
+        item = int if annotation.startswith("tuple[int") else float
+        return lambda raw: tuple(item(p) for p in raw.split(",") if p.strip())
+    return {"int": int, "float": float, "str": str}[annotation]
+
+
+# Every ExperimentConfig field is a config key, parsed as its type says.
+_PARSERS = {f.name: _field_parser(f.type) for f in fields(ExperimentConfig)}
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_INT_KEYS:
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        if key in _LIST_FLOAT_KEYS:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
 
 
 def parse_config_text(text: str) -> dict:
@@ -158,7 +157,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = _parse_value(key, raw)
     return out
@@ -177,7 +176,7 @@ def load_config(
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if overrides:
         for key, val in overrides.items():
-            if key not in _ALL_KEYS:
+            if key not in _PARSERS:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _parse_value(key, str(val)) if isinstance(val, str) else val
     try:

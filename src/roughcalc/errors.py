@@ -7,8 +7,11 @@ class RoughCalcError(Exception):
     """Base class for package-specific failures."""
 
 
-class ConfigError(RoughCalcError):
-    """Bad configuration text, unknown key, or unusable parameter combination."""
+class ConfigError(RoughCalcError, ValueError):
+    """Bad configuration text, unknown key, or unusable parameter combination.
+
+    Also a ValueError: library callers may catch a bad argument, such as a
+    grid too coarse for a catalog functional, as a ValueError."""
 
 
 class IllConditionedModelError(RoughCalcError):

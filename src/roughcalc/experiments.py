@@ -26,6 +26,7 @@ Stream ids keep ensembles reproducible and non-overlapping:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -34,9 +35,10 @@ from .config import ExperimentConfig
 from .energy import GramContext, increment_element, inner_product, project_adapted
 from .errors import ConfigError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
-from .gaussian import (RngStream, conditional_law, regression_coefficients,
-                       sample_ensemble, sample_ensemble_circulant)
-from .malliavin import (AffineField, VectorField, affine_field, clark_integrand,
+from .gaussian import (PathEnsemble, RngStream, conditional_law,
+                       regression_coefficients, sample_ensemble,
+                       sample_ensemble_circulant, write_ensemble)
+from .malliavin import (VectorField, affine_field, clark_integrand,
                         conditional_gradient, conditional_value,
                         deterministic_field, derivative_pairing, divergence,
                         field_norm_sq, increment_directions,
@@ -96,6 +98,11 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / denom
 
 
+def _rel_l2(pred: np.ndarray, target: np.ndarray) -> float:
+    norm = float(np.linalg.norm(target))
+    return float(np.linalg.norm(pred - target)) / norm if norm > 0 else float("nan")
+
+
 def _sigma_units(gap: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if gap == 0.0 else float("inf")
@@ -106,10 +113,28 @@ def _effective_hurst(cfg: ExperimentConfig) -> float:
     return 0.5 if cfg.model == "bm" else cfg.hurst
 
 
-def _single_model(cfg: ExperimentConfig) -> CovarianceModel:
+def _exact_case(cfg: ExperimentConfig) -> bool:
+    """Brownian paths with the piecewise-linear functional: the telescoping
+    is exact, so residuals and slope gaps must sit at roundoff."""
+    return _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
+
+
+def _setup(cfg: ExperimentConfig, n: int | None = None):
+    """Gram context and primary-stream ensemble of a statistical bm/fbm run."""
+    cfg.require_statistical()
     if cfg.model == "mixed":
         raise ConfigError("this experiment runs on bm/fbm; use the mixed subcommand")
-    return cfg.covariance_model()
+    ctx = GramContext.build(cfg.covariance_model(), cfg.grid(n))
+    return ctx, sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
+                                workers=cfg.workers)
+
+
+def _summarize(report: ExperimentReport, **summary) -> ExperimentReport:
+    """Set the summary plus the count of failed rows; pass when it is 0."""
+    failures = sum(not r["passed"] for r in report.results)
+    report.summary = {**summary, "failures": failures}
+    report.passed = failures == 0
+    return report
 
 
 def _report(cfg: ExperimentConfig, experiment: str, n: int) -> ExperimentReport:
@@ -131,11 +156,64 @@ def _snap(grid, t: float) -> int:
     return grid.index_of(t, snap=True)
 
 
-def _exact_mean(ctx: GramContext, fn: CylindricalFunctional) -> float:
-    """E[F] as the j = 0 conditional value.  Exact centering keeps the
+def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
+                    paths: np.ndarray) -> tuple[float, float]:
+    """Mean and SE of (F - E[F] - delta(u))^2, u the Clark integrand of F.
+
+    E[F] is the j = 0 conditional value.  Exact centering keeps the
     Brownian telescoping residual at roundoff; a sample mean would put a
     Var(F)/m floor under it."""
-    return float(conditional_value(ctx, fn, 0, np.zeros((1, ctx.n)))[0])
+    mean = float(conditional_value(ctx, fn, 0, np.zeros((1, ctx.n)))[0])
+    delta = divergence(ctx, clark_integrand(ctx, fn), paths)
+    return _mean_se((fn.values(paths) - mean - delta) ** 2)
+
+
+def _duality_rows(report: ExperimentReport, functionals, grid, paths: np.ndarray,
+                  fields, delta_of, pairing_of, kind: str | None = None) -> float:
+    """One row per functional x field: E[F delta(u)] against E[<DF, u>] at
+    3 combined SE; returns the worst sigma.
+
+    ``delta_of(u)`` and ``pairing_of(fn, u)`` give the per-path divergence
+    and pairing.  Rows with a ``kind`` (the mixed report) lead with it and
+    carry no paired SE.
+    """
+    deltas = [(name, u, delta_of(u)) for name, u in fields]
+    worst = 0.0
+    for name in catalog_names() if functionals is None else functionals:
+        fn = make_functional(name, grid)
+        values = fn.values(paths)
+        for field_name, u, delta in deltas:
+            lhs = values * delta
+            rhs = pairing_of(fn, u)
+            lhs_mean, lhs_se = _mean_se(lhs)
+            rhs_mean, rhs_se = _mean_se(rhs)
+            gap = lhs_mean - rhs_mean
+            row = {} if kind is None else {"kind": kind}
+            row.update(functional=name, field=field_name, lhs_mean=lhs_mean,
+                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap)
+            if kind is None:
+                row["gap_se"] = _mean_se(lhs - rhs)[1]
+            se_combined = math.hypot(lhs_se, rhs_se)
+            sigma = _sigma_units(gap, se_combined)
+            worst = max(worst, sigma)
+            report.add(**row, se_combined=se_combined, passed=bool(sigma <= 3.0))
+    return worst
+
+
+def _anchor(ctx: GramContext, fn: CylindricalFunctional, i_s: int,
+            paths: np.ndarray):
+    """M_s = E[F | prefix through s], E[DF | prefix], and the projected
+    pairing t -> <(Pi DF)_s, k_t - k_s> per path.  (Pi DF)_s in adapted
+    coordinates is the regression coefficients of X[fn.indices]."""
+    j_s = i_s + 1
+    m_s = conditional_value(ctx, fn, j_s, paths)
+    cond_grad = conditional_gradient(ctx, fn, j_s, paths)
+    y_s, _ = regression_coefficients(ctx, j_s, np.asarray(fn.indices, dtype=int))
+
+    def projected(i_t: int) -> np.ndarray:
+        return cond_grad @ (y_s.T @ (ctx.sigma[:j_s, i_t] - ctx.sigma[:j_s, i_s]))
+
+    return m_s, cond_grad, projected
 
 
 # --- test fields -------------------------------------------------------------
@@ -154,14 +232,11 @@ def _test_fields(ctx: GramContext) -> list[tuple[str, VectorField]]:
     term = np.zeros((1, n))
     term[0, n - 1] = 1.0
     w = increment_directions(ctx)
-    lin_adapted = np.zeros((n, n))
-    for s in range(1, n):
-        lin_adapted[s, s - 1] = 1.0
     lin_term = np.zeros((n, n))
     lin_term[:, n - 1] = 1.0
     return [
         ("deterministic", deterministic_field(term, np.array([1.0]))),
-        ("adapted_affine", affine_field(w, np.ones(n), lin_adapted)),
+        ("adapted_affine", affine_field(w, np.ones(n), np.eye(n, k=-1))),
         ("nonadapted_affine", affine_field(w, np.zeros(n), lin_term)),
     ]
 
@@ -176,49 +251,13 @@ def run_adjointness(cfg: ExperimentConfig, functionals=None) -> ExperimentReport
     standard errors.  The paired SE of the per-path gap is reported too, as
     the sharper (correlation-aware) yardstick.
     """
-    cfg.require_statistical()
-    model = _single_model(cfg)
-    grid = cfg.grid()
-    ctx = GramContext.build(model, grid)
-    ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                          workers=cfg.workers)
-    names = list(functionals) if functionals is not None else list(catalog_names())
-    report = _report(cfg, "adjointness", grid.n)
-    worst = 0.0
-    for name in names:
-        fn = make_functional(name, grid)
-        values = fn.values(ens.paths)
-        for field_name, field in _test_fields(ctx):
-            delta = divergence(ctx, field, ens.paths)
-            lhs = values * delta
-            rhs = derivative_pairing(ctx, fn, field, ens.paths)
-            lhs_mean, lhs_se = _mean_se(lhs)
-            rhs_mean, rhs_se = _mean_se(rhs)
-            gap = lhs_mean - rhs_mean
-            _, gap_se = _mean_se(lhs - rhs)
-            se_combined = math.hypot(lhs_se, rhs_se)
-            sigma = _sigma_units(gap, se_combined)
-            worst = max(worst, sigma)
-            report.add(
-                functional=name,
-                field=field_name,
-                lhs_mean=lhs_mean,
-                lhs_se=lhs_se,
-                rhs_mean=rhs_mean,
-                rhs_se=rhs_se,
-                gap=gap,
-                gap_se=gap_se,
-                se_combined=se_combined,
-                passed=bool(sigma <= 3.0),
-            )
-    report.summary = {
-        "rows": len(report.results),
-        "failures": sum(not r["passed"] for r in report.results),
-        "max_sigma": worst,
-        "jitter": ctx.gram.jitter,
-    }
-    report.passed = report.summary["failures"] == 0
-    return report
+    ctx, ens = _setup(cfg)
+    report = _report(cfg, "adjointness", ctx.n)
+    worst = _duality_rows(report, functionals, ctx.grid, ens.paths, _test_fields(ctx),
+                          lambda u: divergence(ctx, u, ens.paths),
+                          lambda fn, u: derivative_pairing(ctx, fn, u, ens.paths))
+    return _summarize(report, rows=len(report.results), max_sigma=worst,
+                      jitter=ctx.gram.jitter)
 
 
 # --- martingale factorization ------------------------------------------------
@@ -233,8 +272,6 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     asserted predicate is refinement: strictly decreasing residuals with the
     finest at most half the coarsest.
     """
-    cfg.require_statistical()
-    model = _single_model(cfg)
     if cfg.spacing != "uniform":
         raise ConfigError("the factorization sweep refines uniform grids")
     sweep = tuple(sorted(set(cfg.grid_sweep)))
@@ -243,35 +280,23 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     report = _report(cfg, "factorization", sweep[-1])
     residuals = []
     for n in sweep:
-        grid = cfg.grid(n)
-        ctx = GramContext.build(model, grid)
-        fn = make_functional(cfg.functional, grid)
-        ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                              workers=cfg.workers)
-        values = fn.values(ens.paths)
-        field = clark_integrand(ctx, fn)
-        delta = divergence(ctx, field, ens.paths)
-        resid_sq = (values - _exact_mean(ctx, fn) - delta) ** 2
-        residual, se = _mean_se(resid_sq)
+        ctx, ens = _setup(cfg, n)
+        fn = make_functional(cfg.functional, ctx.grid)
+        residual, se = _clark_residual(ctx, fn, ens.paths)
         residuals.append(residual)
         report.add(grid_n=n, residual=residual, se=se, jitter=ctx.gram.jitter)
     res = np.asarray(residuals)
     monotone = bool(np.all(np.diff(res) < 0.0)) if res.size > 1 else True
     halved = bool(res[-1] < 0.5 * res[0]) if res.size > 1 else True
-    exact_case = _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
-    if exact_case:
-        passed = bool(res.max() <= _EXACT_RESIDUAL_TOL)
-    elif res.size > 1:
-        passed = monotone and halved
-    else:
-        passed = True
+    exact_case = _exact_case(cfg)
     report.summary = {
         "monotone_strict": monotone,
         "ratio_last_first": float(res[-1] / res[0]) if res[0] > 0 else 0.0,
         "max_residual": float(res.max()),
         "exact_case": exact_case,
     }
-    report.passed = passed
+    report.passed = (bool(res.max() <= _EXACT_RESIDUAL_TOL) if exact_case
+                     else monotone and halved)
     return report
 
 
@@ -308,32 +333,18 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     log-log line to E[R^2] and places the slope next to the 4H reference;
     the fit quality (R^2 >= 0.98) is asserted, the exponent itself is data.
     """
-    cfg.require_statistical()
-    model = _single_model(cfg)
-    grid = cfg.grid()
-    ctx = GramContext.build(model, grid)
+    ctx, ens = _setup(cfg)
+    grid = ctx.grid
     fn = make_functional(cfg.functional, grid)
-    ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                          workers=cfg.workers)
     i_s = _snap(grid, 0.5 * grid.horizon)
-    j_s = i_s + 1
     offsets = _dyadic_offset_indices(grid, i_s, cfg.offsets)
-    idx = np.asarray(fn.indices, dtype=int)
-
-    m_s = conditional_value(ctx, fn, j_s, ens.paths)
-    cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths)
-    # (Pi DF)_s in adapted coordinates: the regression coefficients of X[idx].
-    y_s, _ = regression_coefficients(ctx, j_s, idx)
+    m_s, _, projected = _anchor(ctx, fn, i_s, ens.paths)
 
     report = _report(cfg, "remainder", grid.n)
     gaps = []
     mean_r2 = []
     for i_t in offsets:
-        j_t = i_t + 1
-        m_t = conditional_value(ctx, fn, j_t, ens.paths)
-        pair_vec = y_s.T @ (ctx.sigma[:j_s, i_t] - ctx.sigma[:j_s, i_s])
-        leading = cond_grad @ pair_vec
-        r = m_t - m_s - leading
+        r = conditional_value(ctx, fn, i_t + 1, ens.paths) - m_s - projected(i_t)
         e_r2, se = _mean_se(r**2)
         gap = float(grid.times[i_t] - grid.times[i_s])
         gaps.append(gap)
@@ -344,7 +355,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
             mean_r_sq=e_r2,
             se=se,
             increment_norm_sq=inner_product(ctx, incr, incr),
-            increment_var_model=increment_variance(model, float(grid.times[i_s]),
+            increment_var_model=increment_variance(ctx.model, float(grid.times[i_s]),
                                                    float(grid.times[i_t])),
         )
     x = np.log(np.asarray(gaps))
@@ -388,74 +399,53 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
     the same constant slope exactly (up to roundoff), and that agreement is
     asserted; rough-regime rows are reported without a pass threshold.
     """
-    cfg.require_statistical()
-    model = _single_model(cfg)
-    grid = cfg.grid()
-    n = grid.n
-    ctx = GramContext.build(model, grid)
+    ctx, ens = _setup(cfg)
+    grid = ctx.grid
+    sigma = ctx.sigma
     fn = make_functional(cfg.functional, grid)
-    ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                          workers=cfg.workers)
     idx = np.asarray(fn.indices, dtype=int)
-    report = _report(cfg, "gubinelli", n)
+    report = _report(cfg, "gubinelli", grid.n)
 
-    max_rel_pair = 0.0
-    max_rel_reg = 0.0
-    min_corr = float("inf")
-    max_candidate_gap = 0.0
     for frac in _GUBINELLI_ANCHORS:
         i_s = _snap(grid, frac * grid.horizon)
-        steps = [k for k in _GUBINELLI_STEPS if i_s + k < n]
+        steps = [k for k in _GUBINELLI_STEPS if i_s + k < grid.n]
         if len(steps) < 2:
             continue
-        j_s = i_s + 1
-        m_s = conditional_value(ctx, fn, j_s, ens.paths)
-        cond_grad = conditional_gradient(ctx, fn, j_s, ens.paths)
-        y_s, _ = regression_coefficients(ctx, j_s, idx)
-        dm = {}
-        dx = {}
-        for k in steps:
-            i_t = i_s + k
-            dm[k] = conditional_value(ctx, fn, i_t + 1, ens.paths) - m_s
-            dx[k] = ens.paths[:, i_t] - ens.paths[:, i_s]
+        m_s, cond_grad, projected = _anchor(ctx, fn, i_s, ens.paths)
+        dm = {k: conditional_value(ctx, fn, i_s + k + 1, ens.paths) - m_s
+              for k in steps}
+        dx = {k: ens.paths[:, i_s + k] - ens.paths[:, i_s] for k in steps}
         num = sum(dm[k] * dx[k] for k in steps)
         den = sum(dx[k] ** 2 for k in steps)
         gamma_reg = num / den
         for k in steps:
             i_t = i_s + k
-            col = ctx.sigma[idx, i_t] - ctx.sigma[idx, i_s]
-            pairing = cond_grad @ col
-            norm_sq = (ctx.sigma[i_t, i_t] - 2.0 * ctx.sigma[i_t, i_s]
-                       + ctx.sigma[i_s, i_s])
-            gamma_pair = pairing / norm_sq
-            projected = cond_grad @ (y_s.T @ (ctx.sigma[:j_s, i_t]
-                                              - ctx.sigma[:j_s, i_s]))
+            norm_sq = sigma[i_t, i_t] - 2.0 * sigma[i_t, i_s] + sigma[i_s, i_s]
+            gamma_pair = cond_grad @ (sigma[idx, i_t] - sigma[idx, i_s]) / norm_sq
             pred_pair = gamma_pair * dx[k]
             pred_reg = gamma_reg * dx[k]
-            target_norm = float(np.linalg.norm(dm[k]))
-            rel_pair = (float(np.linalg.norm(pred_pair - dm[k])) / target_norm
-                        if target_norm > 0 else float("nan"))
-            rel_reg = (float(np.linalg.norm(pred_reg - dm[k])) / target_norm
-                       if target_norm > 0 else float("nan"))
-            corr = _pearson(pred_pair, pred_reg)
-            gap = float(np.max(np.abs(gamma_pair - gamma_reg)))
-            max_rel_pair = max(max_rel_pair, rel_pair)
-            max_rel_reg = max(max_rel_reg, rel_reg)
-            min_corr = min(min_corr, corr)
-            max_candidate_gap = max(max_candidate_gap, gap)
             report.add(
                 s=float(grid.times[i_s]),
                 t=float(grid.times[i_t]),
                 offset=float(grid.times[i_t] - grid.times[i_s]),
-                corr_predictions=corr,
-                rel_l2_pairing=rel_pair,
-                rel_l2_regression=rel_reg,
+                corr_predictions=_pearson(pred_pair, pred_reg),
+                rel_l2_pairing=_rel_l2(pred_pair, dm[k]),
+                rel_l2_regression=_rel_l2(pred_reg, dm[k]),
                 gamma_pair_mean=float(np.mean(gamma_pair)),
                 gamma_reg_mean=float(np.mean(gamma_reg)),
-                max_candidate_gap=gap,
-                projected_pairing_rms=float(np.sqrt(np.mean(projected**2))),
+                max_candidate_gap=float(np.max(np.abs(gamma_pair - gamma_reg))),
+                projected_pairing_rms=float(np.sqrt(np.mean(projected(i_t)**2))),
             )
-    exact_case = _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
+    rows = report.results
+    if not rows:
+        raise ConfigError(f"no anchor of a {grid.n}-point grid has two on-grid "
+                          "offsets; refine the grid")
+    # Running extremes in row order, seeded as 0 and inf; NaN rows never win.
+    max_rel_pair = max([0.0] + [r["rel_l2_pairing"] for r in rows])
+    max_rel_reg = max([0.0] + [r["rel_l2_regression"] for r in rows])
+    min_corr = min([float("inf")] + [r["corr_predictions"] for r in rows])
+    max_candidate_gap = max([0.0] + [r["max_candidate_gap"] for r in rows])
+    exact_case = _exact_case(cfg)
     report.summary = {
         "max_rel_l2_pairing": max_rel_pair,
         "max_rel_l2_regression": max_rel_reg,
@@ -464,19 +454,28 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
         "exact_case": exact_case,
         "jitter": ctx.gram.jitter,
     }
-    if exact_case:
-        report.passed = bool(
-            max_rel_pair <= 1e-8
-            and max_rel_reg <= 1e-8
-            and max_candidate_gap <= 1e-8
-            and min_corr >= 1.0 - 1e-10
-        )
-    else:
-        report.passed = True
+    report.passed = not exact_case or bool(
+        max_rel_pair <= 1e-8 and max_rel_reg <= 1e-8
+        and max_candidate_gap <= 1e-8 and min_corr >= 1.0 - 1e-10)
     return report
 
 
 # --- isometry defect ---------------------------------------------------------
+
+
+def _affine_moments(ctx: GramContext, u: VectorField, paths: np.ndarray):
+    """delta(u) per path, the isometry-defect columns of an affine field u,
+    and whether the measured defect is within 3 combined SE of the closed
+    form."""
+    delta = divergence(ctx, u, paths)
+    e_d2, se_d2 = _mean_se(delta**2)
+    e_n2, se_n2 = _mean_se(field_norm_sq(ctx, u, paths))
+    closed = isometry_defect_affine(ctx, u)
+    se_comb = math.hypot(se_d2, se_n2)
+    moments = dict(e_delta_sq=e_d2, se_delta_sq=se_d2, e_norm_sq=e_n2,
+                   se_norm_sq=se_n2, defect_measured=e_d2 - e_n2,
+                   defect_closed=closed, se_combined=se_comb)
+    return delta, moments, _sigma_units(e_d2 - e_n2 - closed, se_comb) <= 3.0
 
 
 def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
@@ -487,13 +486,8 @@ def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
     checked exactly; defect Sigma_TT^2), and the adapted affine suite field
     (defect vanishes at H = 1/2, strictly positive in the rough regime).
     """
-    cfg.require_statistical()
-    model = _single_model(cfg)
-    grid = cfg.grid()
-    ctx = GramContext.build(model, grid)
+    ctx, ens = _setup(cfg)
     n = ctx.n
-    ens = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                          workers=cfg.workers)
     sigma_tt = float(ctx.sigma[n - 1, n - 1])
     report = _report(cfg, "isometry", n)
     fields = dict(_test_fields(ctx))
@@ -516,69 +510,23 @@ def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
     # u = X_T k_T: delta = X_T^2 - Sigma_TT per path, defect = Sigma_TT^2.
     term = np.zeros((1, n))
     term[0, n - 1] = 1.0
-    lin = np.zeros((1, n))
-    lin[0, n - 1] = 1.0
-    u_term = affine_field(term, np.zeros(1), lin)
-    delta = divergence(ctx, u_term, ens.paths)
-    x_term = ens.paths[:, n - 1]
-    pathwise_gap = float(np.max(np.abs(delta - (x_term**2 - sigma_tt))))
+    delta, moments, defect_ok = _affine_moments(
+        ctx, affine_field(term, np.zeros(1), term), ens.paths)
+    pathwise_gap = float(np.max(np.abs(delta - (ens.paths[:, n - 1]**2 - sigma_tt))))
     mean_delta, se_delta = _mean_se(delta)
-    e_d2, se_d2 = _mean_se(delta**2)
-    norm_sq = field_norm_sq(ctx, u_term, ens.paths)
-    e_n2, se_n2 = _mean_se(norm_sq)
-    closed = isometry_defect_affine(ctx, u_term)
-    se_comb = math.hypot(se_d2, se_n2)
-    ok = (
-        pathwise_gap <= 1e-12
-        and _sigma_units(mean_delta, se_delta) <= 3.0
-        and _sigma_units(e_d2 - e_n2 - closed, se_comb) <= 3.0
-    )
-    report.add(
-        field="terminal_linear",
-        e_delta_sq=e_d2,
-        se_delta_sq=se_d2,
-        e_norm_sq=e_n2,
-        se_norm_sq=se_n2,
-        defect_measured=e_d2 - e_n2,
-        defect_closed=closed,
-        se_combined=se_comb,
-        pathwise_gap=pathwise_gap,
-        mean_delta=mean_delta,
-        se_delta=se_delta,
-        passed=bool(ok),
-    )
+    ok = (pathwise_gap <= 1e-12 and _sigma_units(mean_delta, se_delta) <= 3.0
+          and defect_ok)
+    report.add(field="terminal_linear", **moments, pathwise_gap=pathwise_gap,
+               mean_delta=mean_delta, se_delta=se_delta, passed=bool(ok))
 
     # adapted affine field: closed form vs measurement.  At H = 1/2 the
     # closed form is 0 (increment orthogonality); in the rough regime it is
     # nonzero but of either sign, so significance is recorded, not asserted.
-    u_adapted = fields["adapted_affine"]
-    delta = divergence(ctx, u_adapted, ens.paths)
-    e_d2, se_d2 = _mean_se(delta**2)
-    norm_sq = field_norm_sq(ctx, u_adapted, ens.paths)
-    e_n2, se_n2 = _mean_se(norm_sq)
-    closed = isometry_defect_affine(ctx, u_adapted)
-    se_comb = math.hypot(se_d2, se_n2)
-    measured = e_d2 - e_n2
-    ok = _sigma_units(measured - closed, se_comb) <= 3.0
-    report.add(
-        field="adapted_affine",
-        e_delta_sq=e_d2,
-        se_delta_sq=se_d2,
-        e_norm_sq=e_n2,
-        se_norm_sq=se_n2,
-        defect_measured=measured,
-        defect_closed=closed,
-        se_combined=se_comb,
-        defect_nonzero_3se=bool(abs(measured) > 3.0 * se_comb),
-        passed=bool(ok),
-    )
-
-    report.summary = {
-        "failures": sum(not r["passed"] for r in report.results),
-        "jitter": ctx.gram.jitter,
-    }
-    report.passed = report.summary["failures"] == 0
-    return report
+    _, moments, defect_ok = _affine_moments(ctx, fields["adapted_affine"], ens.paths)
+    nonzero = abs(moments["defect_measured"]) > 3.0 * moments["se_combined"]
+    report.add(field="adapted_affine", **moments,
+               defect_nonzero_3se=bool(nonzero), passed=bool(defect_ok))
+    return _summarize(report, jitter=ctx.gram.jitter)
 
 
 # --- projection lemma --------------------------------------------------------
@@ -651,8 +599,8 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
 # --- sampler checks ----------------------------------------------------------
 
 
-def _sampler_stats(ctx: GramContext, ens, model: CovarianceModel, grid) -> dict:
-    paths = ens.paths
+def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
+    model, grid, paths = ctx.model, ctx.grid, ens.paths
     m = paths.shape[0]
     terminal = paths[:, -1]
     var_term, se_var = _var_se(terminal)
@@ -691,8 +639,11 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     A Kolmogorov-Smirnov test of the terminal marginal is recorded per
     sampler but not gated: at the 1% level it trips by chance on about one
     run in fifty, which would make a deterministic pipeline flaky.  The
-    optional export writes the dense ensemble in the binary format.
+    gates are statistical, so fewer than MIN_STATISTICAL_PATHS paths are a
+    config error.  The optional export writes the dense ensemble in the
+    binary format.
     """
+    cfg.require_statistical()
     grid = cfg.grid()
     report = _report(cfg, "simulate", grid.n)
     if cfg.model == "mixed":
@@ -701,29 +652,26 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                            workers=cfg.workers)
         var_term, se_var = _var_se(ens.paths_x[:, -1])
         theory = float(mctx.ctx_x.sigma[grid.n - 1, grid.n - 1])
-        sigma = _sigma_units(var_term - theory, se_var)
+        ok = bool(_sigma_units(var_term - theory, se_var) <= 5.0)
         report.add(sampler="cholesky", component="mixture",
                    terminal_var=var_term, terminal_var_se=se_var,
-                   terminal_var_model=theory, passed=bool(sigma <= 5.0))
+                   terminal_var_model=theory, passed=ok)
         report.summary = {"jitter": mctx.ctx_x.gram.jitter}
-        report.passed = bool(sigma <= 5.0)
+        report.passed = ok
         if export_path is not None:
-            from .gaussian import PathEnsemble, write_ensemble
-
             write_ensemble(export_path, PathEnsemble(
                 ens.paths_x, mctx.ctx_x, cfg.seed, STREAM_PRIMARY, "cholesky"))
         return report
 
-    model = cfg.covariance_model()
-    ctx = GramContext.build(model, grid)
+    ctx = GramContext.build(cfg.covariance_model(), grid)
     dense = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                             workers=cfg.workers)
-    rows = [_sampler_stats(ctx, dense, model, grid)]
+    rows = [_sampler_stats(ctx, dense)]
     if grid.uniform:
         circ = sample_ensemble_circulant(ctx, cfg.paths, cfg.seed,
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
-        rows.append(_sampler_stats(ctx, circ, model, grid))
+        rows.append(_sampler_stats(ctx, circ))
     ok = True
     for row in rows:
         row_ok = row["max_increment_sigma"] <= 5.0
@@ -741,8 +689,6 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                       "samplers": [r.get("sampler") for r in rows]}
     report.passed = bool(ok)
     if export_path is not None:
-        from .gaussian import write_ensemble
-
         write_ensemble(export_path, dense)
     return report
 
@@ -751,17 +697,13 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
 
 
 def _mixed_fields(mctx: MixedContext):
-    """Component pairs of the field suite; a component with weight exactly
-    zero is dropped so degenerate mixtures run the literal pure pipeline."""
-    pairs = []
-    for (name, fb), (_, fh) in zip(_test_fields(mctx.ctx_b),
-                                   _test_fields(mctx.ctx_h)):
-        if mctx.alpha == 0.0:
-            fb = None
-        if mctx.beta == 0.0:
-            fh = None
-        pairs.append((name, fb, fh))
-    return pairs
+    """(name, (B field, B^H field)) pairs of the field suite; a component with
+    weight exactly zero is dropped so degenerate mixtures run the literal
+    pure pipeline."""
+    return [(name, (None if mctx.alpha == 0.0 else fb,
+                    None if mctx.beta == 0.0 else fh))
+            for (name, fb), (_, fh) in zip(_test_fields(mctx.ctx_b),
+                                           _test_fields(mctx.ctx_h))]
 
 
 def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
@@ -780,57 +722,21 @@ def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
     mctx = MixedContext.build(cfg.alpha, cfg.beta, cfg.hurst, grid)
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
-    names = list(functionals) if functionals is not None else list(catalog_names())
     report = _report(cfg, "mixed", grid.n)
-    worst = 0.0
-    for name in names:
-        fn = make_functional(name, grid)
-        values = fn.values(ens.paths_x)
-        for field_name, fb, fh in _mixed_fields(mctx):
-            delta = mixed_divergence(mctx, fb, fh, ens)
-            lhs = values * delta
-            rhs = mixed_pairing(mctx, fn, fb, fh, ens)
-            lhs_mean, lhs_se = _mean_se(lhs)
-            rhs_mean, rhs_se = _mean_se(rhs)
-            gap = lhs_mean - rhs_mean
-            se_combined = math.hypot(lhs_se, rhs_se)
-            sigma = _sigma_units(gap, se_combined)
-            worst = max(worst, sigma)
-            report.add(
-                kind="adjointness",
-                functional=name,
-                field=field_name,
-                lhs_mean=lhs_mean,
-                lhs_se=lhs_se,
-                rhs_mean=rhs_mean,
-                rhs_se=rhs_se,
-                gap=gap,
-                se_combined=se_combined,
-                passed=bool(sigma <= 3.0),
-            )
+    worst = _duality_rows(report, functionals, grid, ens.paths_x, _mixed_fields(mctx),
+                          lambda u: mixed_divergence(mctx, *u, ens),
+                          lambda fn, u: mixed_pairing(mctx, fn, *u, ens),
+                          kind="adjointness")
     # The Clark pair of the components sums to the Clark field of X itself
     # (see mixed_clark_fields), so the residual is taken in the X geometry.
-    fn = make_functional(cfg.functional, grid)
-    values = fn.values(ens.paths_x)
-    field = clark_integrand(mctx.ctx_x, fn)
-    delta = divergence(mctx.ctx_x, field, ens.paths_x)
-    resid_sq = (values - _exact_mean(mctx.ctx_x, fn) - delta) ** 2
-    residual, se = _mean_se(resid_sq)
+    residual, se = _clark_residual(mctx.ctx_x, make_functional(cfg.functional, grid),
+                                   ens.paths_x)
     exact_case = cfg.beta == 0.0 and cfg.functional == "linear"
-    clark_ok = residual <= _EXACT_RESIDUAL_TOL if exact_case else True
-    report.add(kind="clark_residual", functional=cfg.functional,
-               residual=residual, se=se, passed=bool(clark_ok))
-    failures = sum(not r["passed"] for r in report.results)
-    report.summary = {
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "rows": len(report.results),
-        "failures": failures,
-        "max_sigma": worst,
-        "jitter_x": mctx.ctx_x.gram.jitter,
-    }
-    report.passed = failures == 0
-    return report
+    report.add(kind="clark_residual", functional=cfg.functional, residual=residual,
+               se=se, passed=bool(not exact_case or residual <= _EXACT_RESIDUAL_TOL))
+    return _summarize(report, alpha=cfg.alpha, beta=cfg.beta,
+                      rows=len(report.results), max_sigma=worst,
+                      jitter_x=mctx.ctx_x.gram.jitter)
 
 
 # --- increment identity ------------------------------------------------------
@@ -867,17 +773,6 @@ def run_increment_identity(cfg: ExperimentConfig, samples: int = 1000
 # --- full suite --------------------------------------------------------------
 
 
-def _rows_by_key(report: ExperimentReport, kind: str | None = None) -> dict:
-    out = {}
-    for row in report.results:
-        if kind is not None and row.get("kind") != kind:
-            continue
-        key = (row.get("functional"), row.get("field"))
-        if key[0] is not None:
-            out[key] = row
-    return out
-
-
 def _compare_rows(pure: ExperimentReport, mixed: ExperimentReport,
                   exact: bool) -> dict:
     """Row-by-row degeneration check of a mixed run against a pure run.
@@ -886,14 +781,14 @@ def _compare_rows(pure: ExperimentReport, mixed: ExperimentReport,
     runs sample different noise and estimates must agree within 3 combined
     standard errors.
     """
-    pure_rows = _rows_by_key(pure)
-    mixed_rows = _rows_by_key(mixed, kind="adjointness")
+    pure_rows = {(r["functional"], r["field"]): r
+                 for r in pure.results if "field" in r}
     worst = 0.0
     checked = 0
     ok = True
-    for key, row in mixed_rows.items():
-        ref = pure_rows.get(key)
-        if ref is None:
+    for row in mixed.results:
+        ref = pure_rows.get((row.get("functional"), row.get("field")))
+        if row.get("kind") != "adjointness" or ref is None:
             continue
         checked += 1
         for side in ("lhs", "rhs"):
@@ -910,6 +805,36 @@ def _compare_rows(pure: ExperimentReport, mixed: ExperimentReport,
     return {"rows_compared": checked, "worst": worst, "passed": bool(ok and checked > 0)}
 
 
+# verify_all's checks in report order: name -> (driver, config overrides).
+# The drivers sit in tuples of a module-level dict, where bench/tracer.py
+# finds and wraps them.
+_FBM_32 = dict(model="fbm", hurst=0.25, grid_n=32)
+_MIXED_32 = dict(model="mixed", alpha=1.0, beta=1.0, hurst=0.25, grid_n=32)
+_SUITE = {
+    "increment_identity": (run_increment_identity, {}),
+    "projection_lemma": (run_projection_lemma, dict(model="fbm", grid_n=32)),
+    "adjointness_h025": (run_adjointness, _FBM_32),
+    "adjointness_h040": (run_adjointness, dict(_FBM_32, hurst=0.4)),
+    "adjointness_bm": (run_adjointness, dict(model="bm", grid_n=32)),
+    "isometry_defect": (run_isometry_defect, _FBM_32),
+    "factorization_exact_bm": (run_factorization, dict(
+        model="bm", functional="linear", grid_sweep=(32,))),
+    "factorization_refinement": (run_factorization, dict(
+        model="fbm", hurst=0.25, functional="quadratic", grid_sweep=(8, 16, 32, 64))),
+    "remainder_scaling": (run_remainder_scaling, dict(
+        model="fbm", hurst=0.25, functional="quadratic", grid_n=128)),
+    "gubinelli_bm_exact": (run_gubinelli_compare, dict(
+        model="bm", functional="linear", grid_n=64)),
+    "gubinelli_rough": (run_gubinelli_compare, dict(
+        model="fbm", hurst=0.25, functional="quadratic", grid_n=64)),
+    "sampler_cross_h025": (run_simulate, dict(model="fbm", hurst=0.25, grid_n=64)),
+    "sampler_cross_h040": (run_simulate, dict(model="fbm", hurst=0.4, grid_n=64)),
+    "mixed_adjointness": (run_mixed, _MIXED_32),
+    "mixed_beta0": (run_mixed, dict(_MIXED_32, beta=0.0, functional="linear")),
+    "mixed_alpha0": (run_mixed, dict(_MIXED_32, alpha=0.0)),
+}
+
+
 def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], ExperimentReport]:
     """Run the full check suite at the configured path count.
 
@@ -918,72 +843,23 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
     for identical seeds across worker counts) is a property of every report
     here, checked by rerunning the suite externally.
     """
-    from dataclasses import replace
+    reports = {name: run(replace(cfg, **overrides))
+               for name, (run, overrides) in _SUITE.items()}
+    criteria = [{"check": name, "report": rep.basename(), "passed": bool(rep.passed)}
+                for name, rep in reports.items()]
 
-    reports: list[ExperimentReport] = []
-    criteria: list[dict] = []
-
-    def _run(name: str, rep: ExperimentReport):
-        reports.append(rep)
-        criteria.append({"check": name, "report": rep.basename(),
-                         "passed": bool(rep.passed)})
-        return rep
-
-    _run("increment_identity", run_increment_identity(cfg))
-    _run("projection_lemma",
-         run_projection_lemma(replace(cfg, model="fbm", grid_n=32)))
-    adj_fbm = _run("adjointness_h025",
-                   run_adjointness(replace(cfg, model="fbm", hurst=0.25,
-                                           grid_n=32)))
-    _run("adjointness_h040",
-         run_adjointness(replace(cfg, model="fbm", hurst=0.4, grid_n=32)))
-    adj_bm = _run("adjointness_bm",
-                  run_adjointness(replace(cfg, model="bm", grid_n=32)))
-    _run("isometry_defect",
-         run_isometry_defect(replace(cfg, model="fbm", hurst=0.25, grid_n=32)))
-    bm_exact = _run("factorization_exact_bm",
-                    run_factorization(replace(cfg, model="bm",
-                                              functional="linear",
-                                              grid_sweep=(32,))))
-    _run("factorization_refinement",
-         run_factorization(replace(cfg, model="fbm", hurst=0.25,
-                                   functional="quadratic",
-                                   grid_sweep=(8, 16, 32, 64))))
-    _run("remainder_scaling",
-         run_remainder_scaling(replace(cfg, model="fbm", hurst=0.25,
-                                       functional="quadratic", grid_n=128)))
-    _run("gubinelli_bm_exact",
-         run_gubinelli_compare(replace(cfg, model="bm", functional="linear",
-                                       grid_n=64)))
-    _run("gubinelli_rough",
-         run_gubinelli_compare(replace(cfg, model="fbm", hurst=0.25,
-                                       functional="quadratic", grid_n=64)))
-    _run("sampler_cross_h025",
-         run_simulate(replace(cfg, model="fbm", hurst=0.25, grid_n=64)))
-    _run("sampler_cross_h040",
-         run_simulate(replace(cfg, model="fbm", hurst=0.4, grid_n=64)))
-    mixed_11 = _run("mixed_adjointness",
-                    run_mixed(replace(cfg, model="mixed", alpha=1.0, beta=1.0,
-                                      hurst=0.25, grid_n=32)))
-    mixed_b0 = _run("mixed_beta0",
-                    run_mixed(replace(cfg, model="mixed", alpha=1.0, beta=0.0,
-                                      hurst=0.25, grid_n=32,
-                                      functional="linear")))
-    mixed_a0 = _run("mixed_alpha0",
-                    run_mixed(replace(cfg, model="mixed", alpha=0.0, beta=1.0,
-                                      hurst=0.25, grid_n=32)))
-
-    deg_b0 = _compare_rows(adj_bm, mixed_b0, exact=True)
-    b0_residual = next(r for r in mixed_b0.results
+    deg_b0 = _compare_rows(reports["adjointness_bm"], reports["mixed_beta0"],
+                           exact=True)
+    b0_residual = next(r for r in reports["mixed_beta0"].results
                        if r.get("kind") == "clark_residual")
-    bm_residual = bm_exact.results[0]
+    bm_residual = reports["factorization_exact_bm"].results[0]
     resid_gap = abs(b0_residual["residual"] - bm_residual["residual"])
     deg_b0["clark_residual_gap"] = resid_gap
     deg_b0["passed"] = bool(deg_b0["passed"] and resid_gap <= 1e-12)
     criteria.append({"check": "degeneration_beta0", **deg_b0})
-    deg_a0 = _compare_rows(adj_fbm, mixed_a0, exact=False)
+    deg_a0 = _compare_rows(reports["adjointness_h025"], reports["mixed_alpha0"],
+                           exact=False)
     criteria.append({"check": "degeneration_alpha0", **deg_a0})
-    _ = mixed_11  # verdict already recorded via its own report
 
     summary = ExperimentReport(
         experiment="verify_all",
@@ -998,4 +874,4 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
     failures = [row["check"] for row in criteria if not row["passed"]]
     summary.summary = {"checks": len(criteria), "failures": failures}
     summary.passed = not failures
-    return reports, summary
+    return list(reports.values()), summary

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import TimeGrid
 
 __all__ = [
@@ -295,7 +296,10 @@ def _snap_index(grid: TimeGrid, t: float) -> int:
 
 def _separable(name: str, indices, terms, f_const: float = 0.0) -> CylindricalFunctional:
     """f(x) = f_const + sum_i terms[i](x_i) for BasisMap terms; the value,
-    the gradient and the diagonal maps are all read off their coefficients."""
+    the gradient and the diagonal maps are all read off their coefficients.
+    Catalog times that snap to one grid point make a config error."""
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"grid too coarse to separate the {name} functional's times")
     table = np.array([t.coeffs for t in terms])  # (k, 6)
     grad_table = table @ _DERIV.T
     diag = tuple(t.deriv() for t in terms)
@@ -326,8 +330,6 @@ def make_functional(name: str, grid: TimeGrid) -> CylindricalFunctional:
         return _separable(name, idx, (BasisMap.of(sin=1.0), BasisMap.of(cos=1.0)))
     if name == "linear":
         idx = [_snap_index(grid, frac * horizon) for frac in _LINEAR_FRACTIONS]
-        if len(set(idx)) != len(idx):
-            raise ValueError("grid too coarse to separate the linear functional's times")
         return _separable(name, idx, tuple(BasisMap.of(v=c) for c in _LINEAR_COEFFS))
     if name == "terminal_exp":
         return _separable(name, (_snap_index(grid, horizon),), (BasisMap.of(exp=1.0),))

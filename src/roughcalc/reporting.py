@@ -48,13 +48,6 @@ def _normalize(obj):
     return obj
 
 
-class _FloatText:
-    """json.dump hook: emit a pre-rendered float literal verbatim."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
 def _render(obj, out: io.StringIO, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):

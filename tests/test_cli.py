@@ -83,6 +83,16 @@ def test_bad_value_exits_one() -> None:
     ("adjointness", "--set", "functional=nope"),
     ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,0.2"),
     ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,1.5"),
+    # grids too coarse for a catalog functional or for any gubinelli anchor
+    ("adjointness", "--grid-n", "2", "--paths", "1000"),
+    ("mixed", "--grid-n", "2", "--paths", "1000"),
+    ("factorize", "--set", "functional=linear", "--set", "grid_sweep=2,4",
+     "--paths", "1000"),
+    ("gubinelli", "--grid-n", "2", "--paths", "1000"),
+    ("adjointness", "--grid-n", "1", "--paths", "1000"),
+    # no random elements to project; one path has no sample variance
+    ("lemma", "--set", "elements=-1"),
+    ("simulate", "--paths", "1"),
 ])
 def test_invalid_input_exits_one_without_traceback(argv, tmp_path, capsys) -> None:
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
