@@ -30,7 +30,6 @@ class ExperimentConfig:
     beta: float = 1.0
     grid_n: int = 64
     horizon: float = 1.0
-    spacing: str = "uniform"
     times: tuple[float, ...] | None = None
     paths: int = 20000
     seed: int = 42
@@ -47,10 +46,6 @@ class ExperimentConfig:
             raise ConfigError(f"model must be bm|fbm|mixed, got {self.model!r}")
         if self.model != "bm" and not 0.0 < self.hurst < 1.0:
             raise ConfigError(f"hurst must lie in (0, 1), got {self.hurst!r}")
-        if self.spacing not in ("uniform", "explicit"):
-            raise ConfigError(f"spacing must be uniform|explicit, got {self.spacing!r}")
-        if self.spacing == "explicit" and not self.times:
-            raise ConfigError("spacing=explicit requires a times list")
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
         if self.times:
@@ -68,6 +63,8 @@ class ExperimentConfig:
         if self.functional not in catalog_names():
             raise ConfigError(f"unknown functional {self.functional!r}; "
                               f"choose from {', '.join(catalog_names())}")
+        if not self.hurst_sweep:
+            raise ConfigError("hurst_sweep must name at least one Hurst value")
         bad = [h for h in self.hurst_sweep if not 0.0 < h < 1.0]
         if bad:
             raise ConfigError(f"hurst_sweep values must lie in (0, 1), got {bad}")
@@ -89,7 +86,8 @@ class ExperimentConfig:
         return CovarianceModel.mixed(self.alpha, self.beta, self.hurst)
 
     def grid(self, n: int | None = None) -> TimeGrid:
-        if self.spacing == "explicit":
+        """The explicit ``times`` grid when set, else the uniform one."""
+        if self.times:
             return TimeGrid(np.asarray(self.times, dtype=float), self.horizon)
         return TimeGrid.uniform_grid(n if n is not None else self.grid_n, self.horizon)
 

@@ -46,10 +46,6 @@ class GramContext:
     @staticmethod
     def build(model: CovarianceModel, grid: TimeGrid) -> "GramContext":
         gram = build_gram(model, grid)
-        return GramContext.from_gram(gram)
-
-    @staticmethod
-    def from_gram(gram: GramMatrix) -> "GramContext":
         sigma = gram.sigma
         if gram.jitter > 0.0:
             sigma = sigma + gram.jitter * np.eye(gram.n)

@@ -8,8 +8,9 @@ regimes:
 * statistical identities (adjointness, isometry defect, sampler agreement)
   are two-sided tests at 3 standard errors (5 for sampler cross-checks),
   with the combined SE of the two estimates as the yardstick;
-* linear-algebra identities (projection routes, Brownian telescoping,
-  pathwise divergence formulas) use absolute tolerances.
+* linear-algebra identities (projection routes, the exact Clark residual
+  of the linear functional, pathwise divergence formulas) use absolute
+  tolerances.
 
 Every report embeds the effective config and is byte-identical under rerun
 with the same seed, for any worker count: randomness is keyed by (seed,
@@ -71,6 +72,7 @@ _GUBINELLI_ANCHORS = (0.25, 0.375, 0.5, 0.625, 0.75)
 _GUBINELLI_STEPS = (1, 2, 4, 8)
 
 _EXACT_RESIDUAL_TOL = 1e-20
+_INCREMENT_SAMPLES = 1000
 _ROUTE_TOL = 1e-10
 _BM_PROJECTION_TOL = 1e-12
 
@@ -113,12 +115,6 @@ def _effective_hurst(cfg: ExperimentConfig) -> float:
     return 0.5 if cfg.model == "bm" else cfg.hurst
 
 
-def _exact_case(cfg: ExperimentConfig) -> bool:
-    """Brownian paths with the piecewise-linear functional: the telescoping
-    is exact, so residuals and slope gaps must sit at roundoff."""
-    return _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
-
-
 def _setup(cfg: ExperimentConfig, n: int | None = None):
     """Gram context and primary-stream ensemble of a statistical bm/fbm run."""
     cfg.require_statistical()
@@ -152,10 +148,6 @@ def _report(cfg: ExperimentConfig, experiment: str, n: int) -> ExperimentReport:
     )
 
 
-def _snap(grid, t: float) -> int:
-    return grid.index_of(t, snap=True)
-
-
 def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
                     paths: np.ndarray) -> tuple[float, float]:
     """Mean and SE of (F - E[F] - delta(u))^2, u the Clark integrand of F.
@@ -168,10 +160,10 @@ def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
     return _mean_se((fn.values(paths) - mean - delta) ** 2)
 
 
-def _duality_rows(report: ExperimentReport, functionals, grid, paths: np.ndarray,
-                  fields, delta_of, pairing_of, kind: str | None = None) -> float:
-    """One row per functional x field: E[F delta(u)] against E[<DF, u>] at
-    3 combined SE; returns the worst sigma.
+def _duality_rows(report: ExperimentReport, grid, paths: np.ndarray, fields,
+                  delta_of, pairing_of, kind: str | None = None) -> float:
+    """One row per catalog functional x field: E[F delta(u)] against
+    E[<DF, u>] at 3 combined SE; returns the worst sigma.
 
     ``delta_of(u)`` and ``pairing_of(fn, u)`` give the per-path divergence
     and pairing.  Rows with a ``kind`` (the mixed report) lead with it and
@@ -179,7 +171,7 @@ def _duality_rows(report: ExperimentReport, functionals, grid, paths: np.ndarray
     """
     deltas = [(name, u, delta_of(u)) for name, u in fields]
     worst = 0.0
-    for name in catalog_names() if functionals is None else functionals:
+    for name in catalog_names():
         fn = make_functional(name, grid)
         values = fn.values(paths)
         for field_name, u, delta in deltas:
@@ -244,7 +236,7 @@ def _test_fields(ctx: GramContext) -> list[tuple[str, VectorField]]:
 # --- adjointness -------------------------------------------------------------
 
 
-def run_adjointness(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
+def run_adjointness(cfg: ExperimentConfig) -> ExperimentReport:
     """E[F delta(u)] vs E[<DF, u>] across the catalog and the field suite.
 
     Both sides are estimated on the same paths; the pass band is 3 combined
@@ -253,7 +245,7 @@ def run_adjointness(cfg: ExperimentConfig, functionals=None) -> ExperimentReport
     """
     ctx, ens = _setup(cfg)
     report = _report(cfg, "adjointness", ctx.n)
-    worst = _duality_rows(report, functionals, ctx.grid, ens.paths, _test_fields(ctx),
+    worst = _duality_rows(report, ctx.grid, ens.paths, _test_fields(ctx),
                           lambda u: divergence(ctx, u, ens.paths),
                           lambda fn, u: derivative_pairing(ctx, fn, u, ens.paths))
     return _summarize(report, rows=len(report.results), max_sigma=worst,
@@ -267,12 +259,12 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     """L2 residual of F - E[F] = delta(u) with the predictable integrand,
     across a grid-refinement sweep.
 
-    At H = 1/2 with the piecewise-linear functional the telescoping is exact
-    and every residual must sit at roundoff (<= 1e-20).  Otherwise the
-    asserted predicate is refinement: strictly decreasing residuals with the
-    finest at most half the coarsest.
+    For the piecewise-linear functional the Clark field along innovation
+    directions is exact at every H, so every residual must sit at roundoff
+    (<= 1e-20).  Otherwise the asserted predicate is refinement: strictly
+    decreasing residuals with the finest at most half the coarsest.
     """
-    if cfg.spacing != "uniform":
+    if cfg.times:
         raise ConfigError("the factorization sweep refines uniform grids")
     sweep = tuple(sorted(set(cfg.grid_sweep)))
     if not sweep:
@@ -288,7 +280,7 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     res = np.asarray(residuals)
     monotone = bool(np.all(np.diff(res) < 0.0)) if res.size > 1 else True
     halved = bool(res[-1] < 0.5 * res[0]) if res.size > 1 else True
-    exact_case = _exact_case(cfg)
+    exact_case = cfg.functional == "linear"
     report.summary = {
         "monotone_strict": monotone,
         "ratio_last_first": float(res[-1] / res[0]) if res[0] > 0 else 0.0,
@@ -314,7 +306,7 @@ def _dyadic_offset_indices(grid, i_s: int, count: int) -> list[int]:
     indices: list[int] = []
     for q in range(1, count + 1):
         t = s_time + 0.5 * grid.horizon * 2.0 ** (-q)
-        i_t = _snap(grid, t)
+        i_t = grid.index_of(t)
         if i_t > i_s and i_t not in indices:
             indices.append(i_t)
     if len(indices) < 5:
@@ -336,7 +328,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     ctx, ens = _setup(cfg)
     grid = ctx.grid
     fn = make_functional(cfg.functional, grid)
-    i_s = _snap(grid, 0.5 * grid.horizon)
+    i_s = grid.index_of(0.5 * grid.horizon)
     offsets = _dyadic_offset_indices(grid, i_s, cfg.offsets)
     m_s, _, projected = _anchor(ctx, fn, i_s, ens.paths)
 
@@ -407,7 +399,7 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
     report = _report(cfg, "gubinelli", grid.n)
 
     for frac in _GUBINELLI_ANCHORS:
-        i_s = _snap(grid, frac * grid.horizon)
+        i_s = grid.index_of(frac * grid.horizon)
         steps = [k for k in _GUBINELLI_STEPS if i_s + k < grid.n]
         if len(steps) < 2:
             continue
@@ -445,7 +437,8 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
     max_rel_reg = max([0.0] + [r["rel_l2_regression"] for r in rows])
     min_corr = min([float("inf")] + [r["corr_predictions"] for r in rows])
     max_candidate_gap = max([0.0] + [r["max_candidate_gap"] for r in rows])
-    exact_case = _exact_case(cfg)
+    # Unlike the Clark residual, the two candidates agree only at H = 1/2.
+    exact_case = _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
     report.summary = {
         "max_rel_l2_pairing": max_rel_pair,
         "max_rel_l2_regression": max_rel_reg,
@@ -706,7 +699,7 @@ def _mixed_fields(mctx: MixedContext):
                                            _test_fields(mctx.ctx_h))]
 
 
-def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
+def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
     """Componentwise adjointness and factorization for X = alpha B + beta B^H.
 
     Divergence and pairing act per component with chain-rule weights; the
@@ -723,7 +716,7 @@ def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
     report = _report(cfg, "mixed", grid.n)
-    worst = _duality_rows(report, functionals, grid, ens.paths_x, _mixed_fields(mctx),
+    worst = _duality_rows(report, grid, ens.paths_x, _mixed_fields(mctx),
                           lambda u: mixed_divergence(mctx, *u, ens),
                           lambda fn, u: mixed_pairing(mctx, fn, *u, ens),
                           kind="adjointness")
@@ -742,9 +735,8 @@ def run_mixed(cfg: ExperimentConfig, functionals=None) -> ExperimentReport:
 # --- increment identity ------------------------------------------------------
 
 
-def run_increment_identity(cfg: ExperimentConfig, samples: int = 1000
-                           ) -> ExperimentReport:
-    """|Var[X_t - X_s] - |t-s|^{2H}| over random (H, s, t).
+def run_increment_identity(cfg: ExperimentConfig) -> ExperimentReport:
+    """|Var[X_t - X_s] - |t-s|^{2H}| over _INCREMENT_SAMPLES random (H, s, t).
 
     The error is measured against 1e-12 * max(1, |t-s|^{2H}): the variance
     is assembled from three covariance evaluations, so for increments much
@@ -752,9 +744,9 @@ def run_increment_identity(cfg: ExperimentConfig, samples: int = 1000
     (a few ulp of t^{2H} + s^{2H}), not proportional to the tiny result.
     """
     gen = RngStream(cfg.seed, STREAM_INCREMENTS).generator(0)
-    h_vals = gen.uniform(0.05, 0.95, size=samples)
-    a = gen.uniform(0.0, 2.0, size=samples)
-    b = gen.uniform(0.0, 2.0, size=samples)
+    h_vals = gen.uniform(0.05, 0.95, size=_INCREMENT_SAMPLES)
+    a = gen.uniform(0.0, 2.0, size=_INCREMENT_SAMPLES)
+    b = gen.uniform(0.0, 2.0, size=_INCREMENT_SAMPLES)
     s = np.minimum(a, b)
     t = np.maximum(a, b)
     worst = 0.0
@@ -764,7 +756,8 @@ def run_increment_identity(cfg: ExperimentConfig, samples: int = 1000
         want = abs(ti - si) ** (2.0 * hi)
         worst = max(worst, abs(got - want) / max(want, 1.0))
     report = _report(cfg, "increments", cfg.grid_n)
-    report.add(samples=samples, max_rel_err=worst, passed=bool(worst <= 1e-12))
+    report.add(samples=_INCREMENT_SAMPLES, max_rel_err=worst,
+               passed=bool(worst <= 1e-12))
     report.summary = {"max_rel_err": worst}
     report.passed = bool(worst <= 1e-12)
     return report
@@ -843,6 +836,8 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
     for identical seeds across worker counts) is a property of every report
     here, checked by rerunning the suite externally.
     """
+    if cfg.times:
+        raise ConfigError("verify-all sets each check's uniform grid; unset times")
     reports = {name: run(replace(cfg, **overrides))
                for name, (run, overrides) in _SUITE.items()}
     criteria = [{"check": name, "report": rep.basename(), "passed": bool(rep.passed)}

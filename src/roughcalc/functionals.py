@@ -285,7 +285,7 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def _snap_index(grid: TimeGrid, t: float) -> int:
-    i = grid.index_of(t, snap=True)
+    i = grid.index_of(t)
     if abs(grid.times[i] - t) > 1e-12 * max(1.0, abs(t)):
         warnings.warn(
             f"time {t} is off-grid; snapped to nearest grid point {grid.times[i]}",

@@ -48,7 +48,7 @@ from scipy.linalg import solve_triangular
 
 from .energy import GramContext
 from .errors import IllConditionedModelError, UnsupportedDimensionError
-from .models import ModelKind
+from .models import ModelKind, jittered_cholesky
 
 __all__ = [
     "CHUNK_ROWS",
@@ -95,10 +95,6 @@ class PathEnsemble:
     stream: int
     sampler: str
     fallback: bool = False
-
-    @property
-    def m(self) -> int:
-        return int(self.paths.shape[0])
 
 
 def _chunk_bounds(m: int):
@@ -246,14 +242,13 @@ class ConditionalLaw:
     does not depend on the prefix.
     """
 
-    j: int
     mean_map: np.ndarray  # (n - j, j)
     cov: np.ndarray       # (n - j, n - j)
 
 
 def conditional_law(ctx: GramContext, j: int) -> ConditionalLaw:
     beta, cov = regression_coefficients(ctx, j, np.arange(j, ctx.n))
-    return ConditionalLaw(j, beta.T, cov)
+    return ConditionalLaw(beta.T, cov)
 
 
 def regression_coefficients(
@@ -277,14 +272,12 @@ def regression_coefficients(
 
 
 def _chol_psd(cov: np.ndarray) -> np.ndarray:
-    """Cholesky of a PSD matrix, tolerating tiny negative roundoff."""
-    scale = float(np.mean(np.diag(cov))) or 1.0
-    for eps in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
-        try:
-            return np.linalg.cholesky(cov + (eps * abs(scale)) * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise IllConditionedModelError("conditional covariance is not factorizable")
+    """Cholesky of a PSD matrix, tolerating tiny negative roundoff and rank
+    deficiency (an observed or repeated coordinate)."""
+    factored = jittered_cholesky(cov)
+    if factored is None:
+        raise IllConditionedModelError("conditional covariance is not factorizable")
+    return factored[0]
 
 
 MAX_QUADRATURE_DIM = 4
@@ -309,7 +302,6 @@ def conditional_expectation(
     j: int,
     prefix: np.ndarray,
     method: str = "quadrature",
-    nodes: int = DEFAULT_NODES,
     mc_n: int = 4096,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -317,9 +309,10 @@ def conditional_expectation(
 
     g maps an array of shape (..., len(indices)) to (...,).  Observed
     indices (< j) are substituted from the prefix; the rest integrate under
-    the conditional Gaussian.  Quadrature tensorizes `nodes` Gauss-Hermite
-    points per future dimension and supports at most MAX_QUADRATURE_DIM of
-    them; `method="mc"` draws mc_n conditional samples instead.
+    the conditional Gaussian.  Quadrature tensorizes DEFAULT_NODES
+    Gauss-Hermite points per future dimension and supports at most
+    MAX_QUADRATURE_DIM of them; `method="mc"` draws mc_n conditional
+    samples instead.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=int))
     prefix = np.asarray(prefix, dtype=float)
@@ -339,7 +332,7 @@ def conditional_expectation(
                 f"quadrature supports <= {MAX_QUADRATURE_DIM} future coordinates, "
                 f"got {fut.size}; use method='mc'"
             )
-        z, w = _hermite_nodes(nodes)
+        z, w = _hermite_nodes(DEFAULT_NODES)
         grids = np.meshgrid(*([z] * fut.size), indexing="ij")
         pts = np.stack([grid.ravel() for grid in grids], axis=-1)
         wgrids = np.meshgrid(*([w] * fut.size), indexing="ij")
@@ -360,17 +353,17 @@ def conditional_expectation(
     return float(vals @ weights)
 
 
-def expect_scalar(h, mu: np.ndarray, sd, nodes: int = DEFAULT_NODES) -> np.ndarray:
+def expect_scalar(h, mu: np.ndarray, sd) -> np.ndarray:
     """Vectorized E[h(mu_i + sd_i Z)], Z ~ N(0,1), via Gauss-Hermite.
 
     mu is (m,), sd scalar or (m,); h must broadcast elementwise.  Exact for
-    polynomial h up to degree 2*nodes - 1, so affine and quadratic
+    polynomial h up to degree 2 * DEFAULT_NODES - 1, so affine and quadratic
     integrands incur no quadrature error.  It serves user-supplied maps;
     the catalog's `BasisMap` maps have closed forms, which the tests check
     against this rule.
     """
     mu = np.asarray(mu, dtype=float)
     sd = np.asarray(sd, dtype=float)
-    z, w = _hermite_nodes(nodes)
+    z, w = _hermite_nodes(DEFAULT_NODES)
     pts = mu[..., None] + sd[..., None] * z
     return np.asarray(h(pts)) @ w

@@ -9,7 +9,7 @@ a_s (a function of the path) and a fixed direction d_s; its divergence is
 the Gaussian integration-by-parts adjoint of D: E[F delta(u)] = E<DF, u>
 holds exactly in expectation for any smooth coefficients, adapted or not.
 The correction term needs coefficient gradients; fields without gradient
-rules must be deterministic.
+rules must have constant coefficients.
 
 The discrete Clark integrand assigns slot s (covering (t_{s-1}, t_s], with
 t_{-1} = 0) the coefficient
@@ -43,8 +43,7 @@ from scipy.linalg import solve_triangular
 from .energy import GramContext
 from .errors import MissingGradientError
 from .functionals import BasisMap, CylindricalFunctional, smooth_basis
-from .gaussian import (DEFAULT_NODES, conditional_expectation, expect_scalar,
-                       regression_coefficients)
+from .gaussian import conditional_expectation, expect_scalar, regression_coefficients
 
 __all__ = [
     "VectorField",
@@ -73,16 +72,13 @@ class VectorField:
     ``coeff_fn`` maps an (m, N) path matrix to (m, n_slots) coefficients
     (or returns a constant (n_slots,) vector).  ``grad_dot(paths, V)``
     returns sum_k (d a_s / d x_k) V[s, k] per slot, the contraction the
-    divergence correction needs; None is only legal for deterministic
-    coefficients.  ``predictable`` declares that slot s's rule reads
-    coordinates strictly before s.
+    divergence correction needs; None is only legal for constant
+    coefficients.
     """
 
     directions: np.ndarray
     coeff_fn: Callable[[np.ndarray], np.ndarray]
     grad_dot: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
-    deterministic: bool
-    predictable: bool
 
     @property
     def n_slots(self) -> int:
@@ -129,26 +125,20 @@ def deterministic_field(directions: np.ndarray, weights: np.ndarray) -> VectorFi
         directions=directions,
         coeff_fn=lambda paths: weights,
         grad_dot=None,
-        deterministic=True,
-        predictable=True,
     )
 
 
 def affine_field(
     directions: np.ndarray, const: np.ndarray, lin: np.ndarray
 ) -> AffineField:
-    """Field with a_s(x) = const[s] + lin[s] . x.
-
-    Predictability is detected from the sparsity of ``lin``: slot s may read
-    coordinates < s only.
-    """
+    """Field with a_s(x) = const[s] + lin[s] . x; it is predictable when
+    ``lin`` is strictly lower triangular (slot s reads coordinates < s)."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     const = np.asarray(const, dtype=float)
     lin = np.asarray(lin, dtype=float)
     n_slots, n = directions.shape
     if const.shape != (n_slots,) or lin.shape != (n_slots, n):
         raise ValueError("const must be (n_slots,), lin (n_slots, n)")
-    predictable = all(not lin[s, s:].any() for s in range(n_slots))
 
     def coeff_fn(paths):
         return const + paths @ lin.T
@@ -160,8 +150,6 @@ def affine_field(
         directions=directions,
         coeff_fn=coeff_fn,
         grad_dot=grad_dot,
-        deterministic=False,
-        predictable=predictable,
         const=const,
         lin=lin,
     )
@@ -186,6 +174,8 @@ def divergence(
     component field of a mixture reads the mixture while its directions live
     in the component whose ``ctx`` and ``paths`` are passed; ``chain`` is
     d(mixture)/d(component), the chain-rule factor of the correction term.
+    A field without ``grad_dot`` has no correction term, so its coefficients
+    must be constant: one row per path raises MissingGradientError.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     if coeff_paths is None:
@@ -193,15 +183,15 @@ def divergence(
     incr = paths @ field.directions.T
     a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
     out = (a * incr).sum(axis=-1)
-    if not field.deterministic:
-        if field.grad_dot is None:
-            raise MissingGradientError(
-                "state-dependent coefficients need gradient rules for the "
-                "divergence correction term"
-            )
+    if field.grad_dot is not None:
         v = field.directions @ ctx.sigma
         corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
         out = out - chain * (corr.sum() if corr.ndim == 1 else corr.sum(axis=-1))
+    elif a.ndim > 1:
+        raise MissingGradientError(
+            "state-dependent coefficients need gradient rules for the "
+            "divergence correction term"
+        )
     return out
 
 
@@ -232,7 +222,7 @@ def isometry_defect_affine(ctx: GramContext, field: AffineField) -> float:
     return float(np.trace(qs @ qs))
 
 
-def _smoother(maps, nodes: int):
+def _smoother(maps):
     """smooth(mu, var, cols) with column j = E[maps[cols[j]](mu[:, j] +
     sqrt(var[j]) Z)], Z ~ N(0, 1).
 
@@ -252,7 +242,7 @@ def _smoother(maps, nodes: int):
             if var[j] == 0.0:
                 out[:, j] = maps[i](mu[:, j])
             else:
-                out[:, j] = expect_scalar(maps[i], mu[:, j], np.sqrt(var[j]), nodes)
+                out[:, j] = expect_scalar(maps[i], mu[:, j], np.sqrt(var[j]))
         return out
 
     return quadrature
@@ -263,22 +253,16 @@ def conditional_gradient(
     fn: CylindricalFunctional,
     j: int,
     prefixes: np.ndarray,
-    nodes: int = DEFAULT_NODES,
-    use_deriv: bool = False,
 ) -> np.ndarray:
     """E[(d_i f)(X) | first j coordinates] for each row of ``prefixes``.
 
     Returns (m, k).  Diagonal-gradient functionals integrate each component
     against its one-dimensional conditional law; general functionals fall
-    back to tensorized quadrature per row.  ``use_deriv`` integrates the
-    per-coordinate second derivatives instead (diagonal functionals only).
+    back to tensorized quadrature per row.
     """
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
     idx = np.asarray(fn.indices, dtype=int)
-    maps = fn.diag_deriv if use_deriv else fn.diag
-    if maps is None:
-        if use_deriv:
-            raise ValueError(f"functional {fn.name!r} has no diagonal second derivatives")
+    if fn.diag is None:
         out = np.empty((prefixes.shape[0], fn.k))
         for r, row in enumerate(prefixes):
             for i in range(fn.k):
@@ -288,11 +272,10 @@ def conditional_gradient(
                     idx,
                     j,
                     row[:j],
-                    nodes=nodes,
                 )
         return out
     beta, cov = regression_coefficients(ctx, j, idx)
-    return _smoother(maps, nodes)(prefixes[:, :j] @ beta, np.diag(cov), np.arange(fn.k))
+    return _smoother(fn.diag)(prefixes[:, :j] @ beta, np.diag(cov), np.arange(fn.k))
 
 
 def conditional_value(
@@ -300,7 +283,6 @@ def conditional_value(
     fn: CylindricalFunctional,
     j: int,
     prefixes: np.ndarray,
-    nodes: int = DEFAULT_NODES,
 ) -> np.ndarray:
     """E[F | first j coordinates] per prefix row, for separable functionals.
 
@@ -314,8 +296,8 @@ def conditional_value(
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
     idx = np.asarray(fn.indices, dtype=int)
     beta, cov = regression_coefficients(ctx, j, idx)
-    terms = _smoother(fn.diag_terms, nodes)(prefixes[:, :j] @ beta, np.diag(cov),
-                                            np.arange(fn.k))
+    terms = _smoother(fn.diag_terms)(prefixes[:, :j] @ beta, np.diag(cov),
+                                     np.arange(fn.k))
     return fn.f_const + terms.sum(axis=1)
 
 
@@ -324,7 +306,6 @@ def predictable_projection(
     fn: CylindricalFunctional,
     j: int,
     prefix: np.ndarray,
-    nodes: int = DEFAULT_NODES,
 ) -> np.ndarray:
     """(Pi DF)_j = sum_i E[d_i f | prefix] P_j k_{t_i}, supported on :j."""
     prefix = np.asarray(prefix, dtype=float)
@@ -333,7 +314,7 @@ def predictable_projection(
     out = np.zeros(ctx.n)
     if j == 0:
         return out
-    cond = conditional_gradient(ctx, fn, j, prefix[None, :j], nodes=nodes)[0]
+    cond = conditional_gradient(ctx, fn, j, prefix[None, :j])[0]
     beta, _ = regression_coefficients(ctx, j, fn.indices)
     out[:j] = beta @ cond
     return out
@@ -358,9 +339,7 @@ def innovation_directions(ctx: GramContext) -> np.ndarray:
     return w
 
 
-def clark_integrand(
-    ctx: GramContext, fn: CylindricalFunctional, nodes: int = DEFAULT_NODES
-) -> VectorField:
+def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     """Predictable field u with F - E[F] ~ delta(u) (exact for linear F at
     H = 1/2 on grids containing the functional's times).
 
@@ -402,8 +381,8 @@ def clark_integrand(
     gains = (rows / np.diag(chol)).T                   # (n, k)
     w = innovation_directions(ctx)
     w_sigma = w @ ctx.sigma
-    smooth_diag = _smoother(fn.diag, nodes)
-    smooth_deriv = _smoother(fn.diag_deriv, nodes)
+    smooth_diag = _smoother(fn.diag)
+    smooth_deriv = _smoother(fn.diag_deriv)
 
     def slot_sums(paths, smooth, weights):
         """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i], with
@@ -434,10 +413,4 @@ def clark_integrand(
             return np.zeros((np.atleast_2d(paths).shape[0], n))
         return slot_sums(paths, smooth_deriv, scal)
 
-    return VectorField(
-        directions=w,
-        coeff_fn=coeff_fn,
-        grad_dot=grad_dot,
-        deterministic=False,
-        predictable=True,
-    )
+    return VectorField(directions=w, coeff_fn=coeff_fn, grad_dot=grad_dot)

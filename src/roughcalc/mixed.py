@@ -20,7 +20,7 @@ leading draws), alpha = 0 the fractional one.
 Conditioning is always on the observable filtration of X itself, whose Gram
 Sigma_X = alpha^2 Sigma_B + beta^2 Sigma_H is the MIXED covariance model, so
 the single-process conditioning machinery applies unchanged, and so do the
-single-process divergence, pairing and norm, applied per component.
+single-process divergence and pairing, applied per component.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ import numpy as np
 from .energy import GramContext
 from .functionals import CylindricalFunctional
 from .gaussian import RngStream, _fill_chunks
-from .malliavin import (VectorField, clark_integrand, derivative_pairing,
-                        divergence, field_norm_sq)
+from .malliavin import VectorField, clark_integrand, derivative_pairing, divergence
 from .models import CovarianceModel, TimeGrid
 
-__all__ = ["MixedContext", "MixedEnsemble", "mixed_derivative_pair",
-           "mixed_divergence", "mixed_pairing", "mixed_field_norm_sq",
+__all__ = ["MixedContext", "MixedEnsemble", "mixed_divergence", "mixed_pairing",
            "mixed_clark_fields"]
 
 
@@ -108,17 +106,6 @@ def sample_mixed(
     return MixedEnsemble(paths_b, paths_h, paths_x, seed, stream)
 
 
-def mixed_derivative_pair(
-    mctx: MixedContext, fn: CylindricalFunctional, paths_x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component coefficient matrices (DF)_B and (DF)_H, each (m, N)."""
-    paths_x = np.atleast_2d(np.asarray(paths_x, dtype=float))
-    grads = fn.gradient(paths_x)
-    base = np.zeros((paths_x.shape[0], mctx.n))
-    base[:, list(fn.indices)] = grads
-    return mctx.alpha * base, mctx.beta * base
-
-
 def mixed_divergence(
     mctx: MixedContext,
     field_b: VectorField | None,
@@ -154,23 +141,8 @@ def mixed_pairing(
     return out
 
 
-def mixed_field_norm_sq(
-    mctx: MixedContext,
-    field_b: VectorField | None,
-    field_h: VectorField | None,
-    ens: MixedEnsemble,
-) -> np.ndarray:
-    """||(u, v)||^2 = ||u||^2_B + ||v||^2_H per path."""
-    out = np.zeros(ens.m)
-    if field_b is not None:
-        out = out + field_norm_sq(mctx.ctx_b, field_b, ens.paths_x)
-    if field_h is not None:
-        out = out + field_norm_sq(mctx.ctx_h, field_h, ens.paths_x)
-    return out
-
-
 def mixed_clark_fields(
-    mctx: MixedContext, fn: CylindricalFunctional, nodes: int = 32
+    mctx: MixedContext, fn: CylindricalFunctional
 ) -> tuple[VectorField, VectorField]:
     """Componentwise Clark fields for the mixture's martingale factorization.
 
@@ -185,7 +157,7 @@ def mixed_clark_fields(
     component field is identically zero and the other one reproduces the
     pure pipeline.
     """
-    field = clark_integrand(mctx.ctx_x, fn, nodes=nodes)
+    field = clark_integrand(mctx.ctx_x, fn)
 
     def scaled(weight: float) -> VectorField:
         return replace(

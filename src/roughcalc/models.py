@@ -92,12 +92,6 @@ class CovarianceModel:
     def mixed(alpha: float, beta: float, hurst: float) -> "CovarianceModel":
         return CovarianceModel(ModelKind.MIXED, hurst=hurst, alpha=alpha, beta=beta)
 
-    def label(self) -> str:
-        return self.kind.value
-
-    def __call__(self, t, s):
-        return covariance(self, t, s)
-
 
 def _fbm_cov(h: float, t, s):
     two_h = 2.0 * h
@@ -181,12 +175,9 @@ class TimeGrid:
     def n(self) -> int:
         return int(self.times.size)
 
-    def index_of(self, t: float, snap: bool = False) -> int:
-        """Grid index of time t; with snap=True, the nearest grid index."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if not snap and abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"time {t!r} is not a grid point")
-        return i
+    def index_of(self, t: float) -> int:
+        """Index of the grid time nearest to t."""
+        return int(np.argmin(np.abs(self.times - t)))
 
 
 @dataclass(frozen=True)
@@ -209,12 +200,27 @@ class GramMatrix:
         return self.sigma.shape[0]
 
 
-def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramMatrix:
-    """Assemble sigma[i, j] = R(t_i, t_j) and factor it.
+def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(L, jitter) with L L^T = a + jitter * I, for a symmetric PSD matrix.
 
-    A failed Cholesky retries with eps * mean(diag) added to the diagonal,
-    eps escalating 1e-12 -> 1e-8 by factors of ten; beyond that the model/
-    grid pair is declared ill-conditioned.
+    The bare factorization is tried first; a failed one retries with
+    jitter = eps * |mean(diag a)|, eps escalating through JITTER_LADDER
+    (1e-12 -> 1e-8 by factors of ten).  Returns None beyond the top rung, so
+    each caller raises its own error.
+    """
+    scale = abs(float(np.mean(np.diag(a)))) or 1.0
+    for eps in (0.0, *JITTER_LADDER):
+        try:
+            return np.linalg.cholesky(a + (eps * scale) * np.eye(a.shape[0])), eps * scale
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
+def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramMatrix:
+    """Assemble sigma[i, j] = R(t_i, t_j) and factor it with
+    `jittered_cholesky`; beyond its ladder the model/grid pair is declared
+    ill-conditioned.
     """
     t = grid.times
     sigma = covariance(model, t[:, None], t[None, :])
@@ -222,17 +228,14 @@ def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramMatrix:
     # Exact symmetry: the formula is symmetric, but guard against any
     # asymmetric rounding in vectorized evaluation.
     sigma = 0.5 * (sigma + sigma.T)
-    scale = float(np.mean(np.diag(sigma)))
-    for eps in (0.0, *JITTER_LADDER):
-        try:
-            chol = np.linalg.cholesky(sigma + (eps * scale) * np.eye(grid.n))
-        except np.linalg.LinAlgError:
-            continue
-        sigma.setflags(write=False)
-        chol.setflags(write=False)
-        return GramMatrix(model=model, grid=grid, sigma=sigma, chol=chol, jitter=eps * scale)
-    raise IllConditionedModelError(
-        f"Gram matrix for {model.kind.value} on n={grid.n} grid is not "
-        f"factorizable within the jitter ladder (top eps=1e-8)",
-        jitter=JITTER_LADDER[-1] * scale,
-    )
+    factored = jittered_cholesky(sigma)
+    if factored is None:
+        raise IllConditionedModelError(
+            f"Gram matrix for {model.kind.value} on n={grid.n} grid is not "
+            f"factorizable within the jitter ladder (top eps=1e-8)",
+            jitter=JITTER_LADDER[-1] * float(np.mean(np.diag(sigma))),
+        )
+    chol, jitter = factored
+    sigma.setflags(write=False)
+    chol.setflags(write=False)
+    return GramMatrix(model=model, grid=grid, sigma=sigma, chol=chol, jitter=jitter)

@@ -81,8 +81,8 @@ def test_bad_value_exits_one() -> None:
     ("factorize", "--set", "grid_sweep=0,8"),
     ("lemma", "--set", "hurst_sweep=0.3,1.5"),
     ("adjointness", "--set", "functional=nope"),
-    ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,0.2"),
-    ("simulate", "--set", "spacing=explicit", "--set", "times=0.5,1.5"),
+    ("simulate", "--set", "times=0.5,0.2"),
+    ("simulate", "--set", "times=0.5,1.5"),
     # grids too coarse for a catalog functional or for any gubinelli anchor
     ("adjointness", "--grid-n", "2", "--paths", "1000"),
     ("mixed", "--grid-n", "2", "--paths", "1000"),
@@ -93,6 +93,9 @@ def test_bad_value_exits_one() -> None:
     # no random elements to project; one path has no sample variance
     ("lemma", "--set", "elements=-1"),
     ("simulate", "--paths", "1"),
+    # a check over zero Hurst values would pass vacuously
+    ("lemma", "--set", "hurst_sweep="),
+    ("verify-all", "--set", "times=0.2,0.5,0.9"),
 ])
 def test_invalid_input_exits_one_without_traceback(argv, tmp_path, capsys) -> None:
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1

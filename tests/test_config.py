@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,12 @@ def test_load_config_with_overrides(tmp_path) -> None:
     assert cfg.seed == 7
 
 
+def test_shipped_config_matches_defaults() -> None:
+    # a key removed from ExperimentConfig but left in the file fails here
+    path = Path(__file__).resolve().parent.parent / "default.cfg"
+    assert load_config(str(path)) == DEFAULTS
+
+
 def test_load_config_without_file_uses_defaults() -> None:
     cfg = load_config(None, {"grid_n": "32"})
     assert cfg.grid_n == 32
@@ -77,18 +84,17 @@ def test_validation_errors() -> None:
         dict(paths=0),
         dict(grid_n=0),
         dict(workers=0),
-        dict(spacing="chebyshev"),
         dict(model="mixed", alpha=-0.5),
         dict(model="mixed", alpha=0.0, beta=0.0),
-        dict(spacing="explicit", times=None),
-        dict(spacing="explicit", times=(0.5, 0.2)),
-        dict(spacing="explicit", times=(0.5, 1.5)),
-        dict(spacing="explicit", times=(0.0, 0.5)),
+        dict(times=(0.5, 0.2)),
+        dict(times=(0.5, 1.5)),
+        dict(times=(0.0, 0.5)),
         dict(horizon=-1.0),
         dict(horizon=0.0),
         dict(functional="nope"),
         dict(hurst_sweep=(0.3, 1.5)),
         dict(hurst_sweep=(0.0,)),
+        dict(hurst_sweep=()),
         dict(grid_sweep=(0, 8)),
     ):
         with pytest.raises(ConfigError):
@@ -116,9 +122,7 @@ def test_grid_accessors() -> None:
 
 
 def test_explicit_times_grid() -> None:
-    cfg = dataclasses.replace(
-        DEFAULTS, spacing="explicit", times=(0.1, 0.5, 1.0)
-    )
+    cfg = dataclasses.replace(DEFAULTS, times=(0.1, 0.5, 1.0))
     grid = cfg.grid()
     assert grid.n == 3
     assert not grid.uniform

@@ -47,8 +47,10 @@ def test_adjointness_rows_cover_catalog_and_fields() -> None:
         assert row["se_combined"] > 0.0
 
 
-def test_factorization_exact_brownian() -> None:
-    rep = run_factorization(small(model="bm", functional="linear",
+@pytest.mark.parametrize("model", ["bm", "fbm"])
+def test_factorization_exact_brownian(model) -> None:
+    # the linear functional is an exact case at every H, not only at 1/2
+    rep = run_factorization(small(model=model, hurst=0.25, functional="linear",
                                   grid_sweep=(16,)))
     assert rep.passed
     assert rep.summary["exact_case"]
@@ -65,7 +67,7 @@ def test_factorization_refinement_small() -> None:
 
 
 def test_factorization_rejects_nonuniform_sweep() -> None:
-    cfg = small(spacing="explicit", times=(0.2, 0.7, 1.0))
+    cfg = small(times=(0.2, 0.7, 1.0))
     with pytest.raises(ConfigError):
         run_factorization(cfg)
 

@@ -216,6 +216,19 @@ def test_conditional_expectation_unconditional_moments() -> None:
     assert e_sq == pytest.approx(sig_tt, abs=1e-10)
 
 
+def test_conditional_expectation_of_repeated_coordinate() -> None:
+    # X_5 listed twice: the conditional covariance is rank 1, which the
+    # jitter ladder factors; E[X_5^2 | prefix] = mu^2 + var
+    ctx = make_ctx(h=0.25, n=8)
+    prefix = np.array([0.3, -0.4])
+    beta, cov = regression_coefficients(ctx, 2, np.array([5]))
+    mu = float(prefix @ beta[:, 0])
+    got = conditional_expectation(
+        ctx, lambda x: x[..., 0] * x[..., 1], (5, 5), 2, prefix
+    )
+    assert got == pytest.approx(mu**2 + cov[0, 0], abs=1e-10)
+
+
 def test_conditional_expectation_tower() -> None:
     # E[ E[X_T^2 | prefix_j] ] over sampled prefixes converges to E[X_T^2]
     ctx = make_ctx(h=0.25, n=8)

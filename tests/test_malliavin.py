@@ -24,8 +24,8 @@ from roughcalc.functionals import (CylindricalFunctional, IntegralFunctional,
                                    catalog_names,
                                    discretize_integral_functional,
                                    make_functional)
-from roughcalc.gaussian import isonormal, sample_ensemble
-from roughcalc.malliavin import (affine_field, clark_integrand,
+from roughcalc.gaussian import isonormal, regression_coefficients, sample_ensemble
+from roughcalc.malliavin import (VectorField, affine_field, clark_integrand,
                                  conditional_gradient, conditional_value,
                                  derivative,
                                  derivative_pairing, deterministic_field,
@@ -83,6 +83,14 @@ def test_derivative_requires_gradient() -> None:
     ctx = make_ctx()
     with pytest.raises(MissingGradientError):
         derivative(ctx, fn, np.zeros((1, ctx.n)))
+
+
+def test_divergence_of_state_dependent_field_requires_gradient() -> None:
+    ctx = make_ctx()
+    u = VectorField(directions=np.eye(ctx.n), coeff_fn=lambda paths: paths,
+                    grad_dot=None)
+    with pytest.raises(MissingGradientError):
+        divergence(ctx, u, np.zeros((3, ctx.n)))
 
 
 def test_divergence_of_deterministic_field_is_isonormal() -> None:
@@ -197,7 +205,6 @@ def test_clark_field_is_predictable() -> None:
     ctx = make_ctx(h=0.25, n=6)
     fn = make_functional("terminal_exp", ctx.grid)
     field = clark_integrand(ctx, fn)
-    assert field.predictable
     rng = np.random.default_rng(9)
     a = rng.normal(size=(3, ctx.n))
     b = a.copy()
@@ -208,6 +215,23 @@ def test_clark_field_is_predictable() -> None:
     # slots up to s are functions of the shared prefix alone
     assert np.max(np.abs(ca[:, : s + 1] - cb[:, : s + 1])) <= 1e-12
     assert np.max(np.abs(ca[:, s + 1 :] - cb[:, s + 1 :])) > 1e-6
+
+
+def test_conditional_gradient_of_coupled_functional() -> None:
+    # F = X_2 X_6 has a coupled gradient (x_6, x_2), so no diagonal maps:
+    # conditional_gradient integrates it by tensorized quadrature per row,
+    # and the result must equal the swapped conditional means
+    ctx = make_ctx(h=0.25, n=8)
+    fn = CylindricalFunctional(
+        name="product", indices=(2, 6), f=lambda x: x[..., 0] * x[..., 1],
+        grad=lambda x: x[..., ::-1])
+    assert fn.diag is None
+    paths = sample_ensemble(ctx, 5, seed=20).paths
+    for j in (0, 3, 7, 8):
+        beta, _ = regression_coefficients(ctx, j, np.array(fn.indices))
+        want = (paths[:, :j] @ beta)[:, ::-1]
+        got = conditional_gradient(ctx, fn, j, paths)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_clark_exact_for_brownian_linear() -> None:
@@ -297,9 +321,7 @@ def test_catalog_functionals_need_no_quadrature(monkeypatch) -> None:
         assert np.all(np.isfinite(field.grad_dot(paths, v)))
         for j in (0, 3, ctx.n):
             assert np.all(np.isfinite(conditional_value(ctx, fn, j, paths)))
-            for use_deriv in (False, True):
-                got = conditional_gradient(ctx, fn, j, paths, use_deriv=use_deriv)
-                assert np.all(np.isfinite(got))
+            assert np.all(np.isfinite(conditional_gradient(ctx, fn, j, paths)))
 
 
 def test_quadrature_path_matches_closed_form_clark(monkeypatch) -> None:

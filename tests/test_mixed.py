@@ -10,9 +10,8 @@ import pytest
 from roughcalc.functionals import make_functional
 from roughcalc.gaussian import expect_scalar, sample_ensemble
 from roughcalc.malliavin import clark_integrand, conditional_value, divergence
-from roughcalc.mixed import (MixedContext, mixed_clark_fields,
-                             mixed_derivative_pair, mixed_divergence,
-                             mixed_field_norm_sq, mixed_pairing, sample_mixed)
+from roughcalc.mixed import (MixedContext, mixed_clark_fields, mixed_divergence,
+                             mixed_pairing, sample_mixed)
 from roughcalc.models import TimeGrid
 
 
@@ -71,18 +70,6 @@ def test_beta_zero_paths_match_pure_brownian_bitwise() -> None:
     ens = sample_mixed(mctx, 128, seed=42)
     pure = sample_ensemble(mctx.ctx_b, 128, seed=42)
     assert np.array_equal(ens.paths_x, pure.paths)
-
-
-def test_derivative_pair_scales_components() -> None:
-    mctx = make_mctx(alpha=0.6, beta=1.4)
-    fn = make_functional("quadratic", mctx.ctx_x.grid)
-    ens = sample_mixed(mctx, 16, seed=7)
-    db, dh = mixed_derivative_pair(mctx, fn, ens.paths_x)
-    assert np.max(np.abs(db / 0.6 - dh / 1.4)) <= 1e-12
-    base = db / 0.6
-    want = np.zeros_like(base)
-    want[:, -1] = 2.0 * ens.paths_x[:, -1]
-    assert np.max(np.abs(base - want)) <= 1e-12
 
 
 def test_componentwise_adjointness_small_scale() -> None:
@@ -157,18 +144,6 @@ def test_zero_weight_component_field_is_null() -> None:
     fb, fh = mixed_clark_fields(mctx, fn)
     null = mixed_divergence(mctx, None, fh, ens)
     assert np.max(np.abs(null)) <= 1e-15
-    assert np.max(mixed_field_norm_sq(mctx, None, fh, ens)) <= 1e-15
-
-
-def test_norm_splits_over_components() -> None:
-    mctx = make_mctx(alpha=1.0, beta=1.0)
-    fn = make_functional("terminal_exp", mctx.ctx_x.grid)
-    ens = sample_mixed(mctx, 64, seed=23)
-    fb, fh = mixed_clark_fields(mctx, fn)
-    both = mixed_field_norm_sq(mctx, fb, fh, ens)
-    only_b = mixed_field_norm_sq(mctx, fb, None, ens)
-    only_h = mixed_field_norm_sq(mctx, None, fh, ens)
-    assert np.max(np.abs(both - only_b - only_h)) <= 1e-12
 
 
 def test_weight_validation() -> None:

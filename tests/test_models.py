@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughcalc.models import (CovarianceModel, TimeGrid, build_gram,
-                              covariance, increment_variance)
+from roughcalc.models import (JITTER_LADDER, CovarianceModel, TimeGrid,
+                              build_gram, covariance, increment_variance,
+                              jittered_cholesky)
 
 
 def ref_fbm_cov(h: float, s: float, t: float) -> float:
@@ -112,6 +113,19 @@ def test_grid_rejects_zero_and_disorder() -> None:
 def test_uniform_grid_detection() -> None:
     assert TimeGrid.uniform_grid(8).uniform
     assert not TimeGrid(np.array([0.1, 0.5, 1.0]), horizon=1.0).uniform
+
+
+def test_jitter_ladder_factors_rank_deficient_psd() -> None:
+    # rank 1: the bare factorization meets an exactly zero pivot, the first
+    # rung of the ladder factors it; an indefinite matrix exhausts the ladder
+    v = np.array([1.0, 2.0, -1.0])
+    a = np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a)
+    chol, jitter = jittered_cholesky(a)
+    assert jitter == JITTER_LADDER[0] * np.mean(np.diag(a))
+    assert np.max(np.abs(chol @ chol.T - a - jitter * np.eye(3))) <= 1e-12
+    assert jittered_cholesky(-np.eye(2)) is None
 
 
 def test_gram_psd_with_bounded_jitter() -> None:
