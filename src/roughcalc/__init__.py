@@ -29,8 +29,8 @@ from .malliavin import (AffineField, VectorField, affine_field,
                         isometry_defect_affine, predictable_projection)
 from .mixed import (MixedContext, MixedEnsemble, mixed_clark_fields,
                     mixed_divergence, mixed_pairing, sample_mixed)
-from .models import (CovarianceModel, GramMatrix, ModelKind, TimeGrid,
-                     build_gram, covariance, increment_variance)
+from .models import (CovarianceModel, TimeGrid, build_gram, covariance,
+                     increment_variance)
 
 __version__ = "0.1.0"
 
@@ -42,13 +42,11 @@ __all__ = [
     "CylindricalFunctional",
     "ExperimentConfig",
     "GramContext",
-    "GramMatrix",
     "IllConditionedModelError",
     "IntegralFunctional",
     "MissingGradientError",
     "MixedContext",
     "MixedEnsemble",
-    "ModelKind",
     "PathEnsemble",
     "RngStream",
     "RoughCalcError",

@@ -18,64 +18,18 @@ each projection O(j^2).
 
 When the jitter ladder fired during Gram assembly, the context operates in
 the jittered geometry Sigma + eps*I throughout, keeping projections and
-inner products mutually consistent; the raw Sigma stays available on the
-GramMatrix.
+inner products mutually consistent.  `GramContext` lives in `models`, next
+to `build_gram` that makes it, and is re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .models import CovarianceModel, GramMatrix, TimeGrid, build_gram
+from .models import GramContext
 
 __all__ = ["GramContext", "inner_product", "norm", "representer",
            "increment_element", "evaluate", "project_adapted"]
-
-
-@dataclass(frozen=True)
-class GramContext:
-    """Gram matrix plus cached factorization state for all leading blocks."""
-
-    gram: GramMatrix
-    sigma: np.ndarray  # operative Gram (jitter included if any)
-    chol: np.ndarray
-
-    @staticmethod
-    def build(model: CovarianceModel, grid: TimeGrid) -> "GramContext":
-        gram = build_gram(model, grid)
-        sigma = gram.sigma
-        if gram.jitter > 0.0:
-            sigma = sigma + gram.jitter * np.eye(gram.n)
-            sigma.setflags(write=False)
-        return GramContext(gram=gram, sigma=sigma, chol=gram.chol)
-
-    @property
-    def n(self) -> int:
-        return self.gram.n
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.gram.grid
-
-    @property
-    def model(self) -> CovarianceModel:
-        return self.gram.model
-
-    def solve_leading(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve Sigma[:j, :j] y = rhs via the cached Cholesky block.
-
-        rhs may be (j,) or (j, k); returns matching shape.
-        """
-        if not 0 <= j <= self.n:
-            raise ValueError(f"leading block size {j} out of range 0..{self.n}")
-        if j == 0:
-            return np.zeros_like(rhs)
-        block = self.chol[:j, :j]
-        half = solve_triangular(block, rhs, lower=True)
-        return solve_triangular(block, half, lower=True, trans="T")
 
 
 def _as_coeffs(ctx: GramContext, c: np.ndarray) -> np.ndarray:

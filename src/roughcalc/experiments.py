@@ -111,10 +111,6 @@ def _sigma_units(gap: float, se: float) -> float:
     return abs(gap) / se
 
 
-def _effective_hurst(cfg: ExperimentConfig) -> float:
-    return 0.5 if cfg.model == "bm" else cfg.hurst
-
-
 def _setup(cfg: ExperimentConfig, n: int | None = None):
     """Gram context and primary-stream ensemble of a statistical bm/fbm run."""
     cfg.require_statistical()
@@ -249,7 +245,7 @@ def run_adjointness(cfg: ExperimentConfig) -> ExperimentReport:
                           lambda u: divergence(ctx, u, ens.paths),
                           lambda fn, u: derivative_pairing(ctx, fn, u, ens.paths))
     return _summarize(report, rows=len(report.results), max_sigma=worst,
-                      jitter=ctx.gram.jitter)
+                      jitter=ctx.jitter)
 
 
 # --- martingale factorization ------------------------------------------------
@@ -262,13 +258,17 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     For the piecewise-linear functional the Clark field along innovation
     directions is exact at every H, so every residual must sit at roundoff
     (<= 1e-20).  Otherwise the asserted predicate is refinement: strictly
-    decreasing residuals with the finest at most half the coarsest.
+    decreasing residuals with the finest at most half the coarsest, which
+    needs at least two grid sizes.
     """
     if cfg.times:
         raise ConfigError("the factorization sweep refines uniform grids")
     sweep = tuple(sorted(set(cfg.grid_sweep)))
-    if not sweep:
-        raise ConfigError("grid_sweep must name at least one grid size")
+    exact_case = cfg.functional == "linear"
+    need = 1 if exact_case else 2
+    if len(sweep) < need:
+        raise ConfigError(f"grid_sweep must name at least {need} distinct grid "
+                          f"size(s) for functional {cfg.functional!r}")
     report = _report(cfg, "factorization", sweep[-1])
     residuals = []
     for n in sweep:
@@ -276,11 +276,10 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
         fn = make_functional(cfg.functional, ctx.grid)
         residual, se = _clark_residual(ctx, fn, ens.paths)
         residuals.append(residual)
-        report.add(grid_n=n, residual=residual, se=se, jitter=ctx.gram.jitter)
+        report.add(grid_n=n, residual=residual, se=se, jitter=ctx.jitter)
     res = np.asarray(residuals)
-    monotone = bool(np.all(np.diff(res) < 0.0)) if res.size > 1 else True
-    halved = bool(res[-1] < 0.5 * res[0]) if res.size > 1 else True
-    exact_case = cfg.functional == "linear"
+    monotone = bool(np.all(np.diff(res) < 0.0))
+    halved = bool(res[-1] < 0.5 * res[0])
     report.summary = {
         "monotone_strict": monotone,
         "ratio_last_first": float(res[-1] / res[0]) if res[0] > 0 else 0.0,
@@ -357,7 +356,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    reference = 4.0 * _effective_hurst(cfg)
+    reference = 4.0 * ctx.model.hurst
     report.summary = {
         "slope": float(slope),
         "intercept": float(intercept),
@@ -365,7 +364,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         "reference_exponent": reference,
         "slope_gap": float(slope) - reference,
         "offsets_used": len(offsets),
-        "jitter": ctx.gram.jitter,
+        "jitter": ctx.jitter,
     }
     report.passed = bool(math.isfinite(slope) and r_squared >= 0.98)
     return report
@@ -438,14 +437,14 @@ def run_gubinelli_compare(cfg: ExperimentConfig) -> ExperimentReport:
     min_corr = min([float("inf")] + [r["corr_predictions"] for r in rows])
     max_candidate_gap = max([0.0] + [r["max_candidate_gap"] for r in rows])
     # Unlike the Clark residual, the two candidates agree only at H = 1/2.
-    exact_case = _effective_hurst(cfg) == 0.5 and cfg.functional == "linear"
+    exact_case = ctx.model.hurst == 0.5 and cfg.functional == "linear"
     report.summary = {
         "max_rel_l2_pairing": max_rel_pair,
         "max_rel_l2_regression": max_rel_reg,
         "min_corr": min_corr,
         "max_candidate_gap": max_candidate_gap,
         "exact_case": exact_case,
-        "jitter": ctx.gram.jitter,
+        "jitter": ctx.jitter,
     }
     report.passed = not exact_case or bool(
         max_rel_pair <= 1e-8 and max_rel_reg <= 1e-8
@@ -519,7 +518,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
     nonzero = abs(moments["defect_measured"]) > 3.0 * moments["se_combined"]
     report.add(field="adapted_affine", **moments,
                defect_nonzero_3se=bool(nonzero), passed=bool(defect_ok))
-    return _summarize(report, jitter=ctx.gram.jitter)
+    return _summarize(report, jitter=ctx.jitter)
 
 
 # --- projection lemma --------------------------------------------------------
@@ -567,7 +566,7 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
             gap_meanmap = max(gap_meanmap, _max_energy_gap(block, y1, y3))
         overall = max(overall, gap_dense, gap_meanmap)
         report.add(hurst=float(h), max_gap_dense=gap_dense,
-                   max_gap_meanmap=gap_meanmap, jitter=ctx.gram.jitter)
+                   max_gap_meanmap=gap_meanmap, jitter=ctx.jitter)
 
     ctx_bm = GramContext.build(CovarianceModel.bm(), grid)
     bm_gap = 0.0
@@ -649,11 +648,10 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
         report.add(sampler="cholesky", component="mixture",
                    terminal_var=var_term, terminal_var_se=se_var,
                    terminal_var_model=theory, passed=ok)
-        report.summary = {"jitter": mctx.ctx_x.gram.jitter}
+        report.summary = {"jitter": mctx.ctx_x.jitter}
         report.passed = ok
         if export_path is not None:
-            write_ensemble(export_path, PathEnsemble(
-                ens.paths_x, mctx.ctx_x, cfg.seed, STREAM_PRIMARY, "cholesky"))
+            write_ensemble(export_path, PathEnsemble(ens.paths_x, cfg.seed, "cholesky"))
         return report
 
     ctx = GramContext.build(cfg.covariance_model(), grid)
@@ -678,7 +676,7 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
         report.add(check="terminal_var_cross", gap=gap, joint_se=joint_se,
                    passed=bool(cross_ok))
         ok = ok and cross_ok
-    report.summary = {"jitter": ctx.gram.jitter,
+    report.summary = {"jitter": ctx.jitter,
                       "samplers": [r.get("sampler") for r in rows]}
     report.passed = bool(ok)
     if export_path is not None:
@@ -721,15 +719,17 @@ def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
                           lambda fn, u: mixed_pairing(mctx, fn, *u, ens),
                           kind="adjointness")
     # The Clark pair of the components sums to the Clark field of X itself
-    # (see mixed_clark_fields), so the residual is taken in the X geometry.
+    # (see mixed_clark_fields), so the residual is taken in the X geometry;
+    # as in run_factorization, the linear functional is exact at every H and
+    # every weight pair.
     residual, se = _clark_residual(mctx.ctx_x, make_functional(cfg.functional, grid),
                                    ens.paths_x)
-    exact_case = cfg.beta == 0.0 and cfg.functional == "linear"
+    ok = cfg.functional != "linear" or residual <= _EXACT_RESIDUAL_TOL
     report.add(kind="clark_residual", functional=cfg.functional, residual=residual,
-               se=se, passed=bool(not exact_case or residual <= _EXACT_RESIDUAL_TOL))
+               se=se, passed=bool(ok))
     return _summarize(report, alpha=cfg.alpha, beta=cfg.beta,
                       rows=len(report.results), max_sigma=worst,
-                      jitter_x=mctx.ctx_x.gram.jitter)
+                      jitter_x=mctx.ctx_x.jitter)
 
 
 # --- increment identity ------------------------------------------------------

@@ -46,9 +46,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import solve_triangular
 
-from .energy import GramContext
 from .errors import IllConditionedModelError, UnsupportedDimensionError
-from .models import ModelKind, jittered_cholesky
+from .models import GramContext, jittered_cholesky
 
 __all__ = [
     "CHUNK_ROWS",
@@ -56,7 +55,6 @@ __all__ = [
     "PathEnsemble",
     "sample_ensemble",
     "sample_ensemble_circulant",
-    "isonormal",
     "write_ensemble",
     "read_ensemble",
     "ConditionalLaw",
@@ -87,12 +85,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Rows are i.i.d. path vectors over the grid."""
+    """Rows are i.i.d. path vectors over the grid; ``seed`` goes into the
+    exported file header."""
 
     paths: np.ndarray
-    ctx: GramContext
     seed: int
-    stream: int
     sampler: str
     fallback: bool = False
 
@@ -130,7 +127,7 @@ def sample_ensemble(
 
     _fill_chunks(m, workers, fill)
     out.setflags(write=False)
-    return PathEnsemble(out, ctx, seed, stream, "cholesky")
+    return PathEnsemble(out, seed, "cholesky")
 
 
 def _fgn_autocov(h: float, n: int) -> np.ndarray:
@@ -149,29 +146,32 @@ def circulant_eigenvalues(h: float, n: int) -> np.ndarray:
 def sample_ensemble_circulant(
     ctx: GramContext, m: int, seed: int, stream: int = 0, workers: int = 1
 ) -> PathEnsemble:
-    """Circulant-embedding sampler for fBM/BM on a uniform grid.
+    """Circulant-embedding sampler for a one-component model (one weight
+    zero) on a uniform grid: the noise of B^H, or of B (H = 1/2) when beta
+    is 0, scaled by the nonzero weight.
 
     Falls back to the dense Cholesky sampler (with ``fallback=True``) if the
     embedding spectrum dips below -1e-9 times its maximum.
     """
     model = ctx.model
-    if model.kind is ModelKind.MIXED:
-        raise ValueError("circulant sampler covers bm/fbm; sample mixed components separately")
+    if model.alpha and model.beta:
+        raise ValueError("circulant sampler covers one-component models; "
+                         "sample mixed components separately")
     if not ctx.grid.uniform:
         raise ValueError("circulant sampler requires a uniform grid")
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    hurst = 0.5 if model.kind is ModelKind.BM else model.hurst
+    hurst = model.hurst if model.beta else 0.5
     n = ctx.n
     g = circulant_eigenvalues(hurst, n)
     if g.min() < -1e-9 * g.max():
         dense = sample_ensemble(ctx, m, seed, stream, workers)
-        return PathEnsemble(dense.paths, ctx, seed, stream, "cholesky", fallback=True)
+        return PathEnsemble(dense.paths, seed, "cholesky", fallback=True)
     g = np.clip(g, 0.0, None)
     sqrt_g = np.sqrt(g)
     m_emb = 2 * n
     dt = ctx.grid.times[0]
-    scale = dt**hurst
+    scale = (model.beta or model.alpha) * dt**hurst
     rng = RngStream(seed, stream)
     out = np.empty((m, n))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -191,13 +191,7 @@ def sample_ensemble_circulant(
 
     _fill_chunks(m, workers, fill)
     out.setflags(write=False)
-    return PathEnsemble(out, ctx, seed, stream, "circulant")
-
-
-def isonormal(ctx: GramContext, c: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """I(h) = sum_i c_i X_{t_i} applied to each row; Var I(h) = ||h||^2."""
-    c = np.asarray(c, dtype=float)
-    return paths @ c
+    return PathEnsemble(out, seed, "circulant")
 
 
 def write_ensemble(path, ens: PathEnsemble) -> None:

@@ -18,9 +18,10 @@ degenerations are literal: beta = 0 recovers the Brownian pipeline
 leading draws), alpha = 0 the fractional one.
 
 Conditioning is always on the observable filtration of X itself, whose Gram
-Sigma_X = alpha^2 Sigma_B + beta^2 Sigma_H is the MIXED covariance model, so
-the single-process conditioning machinery applies unchanged, and so do the
-single-process divergence and pairing, applied per component.
+Sigma_X = alpha^2 Sigma_B + beta^2 Sigma_H is that of the model
+CovarianceModel(alpha, beta, H), so the single-process conditioning
+machinery applies unchanged, and so do the single-process divergence and
+pairing, applied per component.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class MixedContext:
             beta=float(beta),
             ctx_b=GramContext.build(CovarianceModel.bm(), grid),
             ctx_h=GramContext.build(CovarianceModel.fbm(hurst), grid),
-            ctx_x=GramContext.build(CovarianceModel.mixed(alpha, beta, hurst), grid),
+            ctx_x=GramContext.build(CovarianceModel(alpha, beta, hurst), grid),
         )
 
     @property
@@ -69,8 +70,6 @@ class MixedEnsemble:
     paths_b: np.ndarray
     paths_h: np.ndarray
     paths_x: np.ndarray
-    seed: int
-    stream: int
 
     @property
     def m(self) -> int:
@@ -103,7 +102,7 @@ def sample_mixed(
     paths_x = mctx.alpha * paths_b + mctx.beta * paths_h
     for arr in (paths_b, paths_h, paths_x):
         arr.setflags(write=False)
-    return MixedEnsemble(paths_b, paths_h, paths_x, seed, stream)
+    return MixedEnsemble(paths_b, paths_h, paths_x)
 
 
 def mixed_divergence(

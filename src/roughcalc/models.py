@@ -1,11 +1,14 @@
 """Covariance models and time grids for Gaussian processes on a finite grid.
 
-Three process families share one interface:
+One Gaussian family covers every driver: X = alpha * B + beta * B^H with
+B a Brownian motion and B^H an independent fractional one, so
 
-* standard Brownian motion,   R(t, s) = min(t, s)
-* fractional Brownian motion, R(t, s) = 0.5 * (t^{2H} + s^{2H} - |t - s|^{2H})
-* an independent mixture X = alpha * B + beta * B^H, whose covariance is
-  alpha^2 * min(t, s) + beta^2 * R_H(t, s).
+    R(t, s) = alpha^2 * min(t, s) + beta^2 * R_H(t, s),
+    R_H(t, s) = 0.5 * (t^{2H} + s^{2H} - |t - s|^{2H}).
+
+Brownian motion is (alpha, beta, H) = (1, 0, 1/2) and fractional Brownian
+motion (0, 1, H); both terms of R are evaluated for every model, and a
+zero weight contributes an exact 0.
 
 The fBM increment variance follows from the covariance by polarization,
 
@@ -14,24 +17,24 @@ The fBM increment variance follows from the covariance by polarization,
 and `increment_variance` computes exactly that combination so the identity
 holds to roundoff.  Gram matrices built here are symmetric positive
 semidefinite; `build_gram` factorizes them with an escalating diagonal
-jitter ladder and records the jitter actually used.
+jitter ladder, and the GramContext it returns works in the jittered
+geometry Sigma + jitter * I throughout, with the jitter recorded.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import IllConditionedModelError
 
 __all__ = [
-    "ModelKind",
     "CovarianceModel",
     "TimeGrid",
-    "GramMatrix",
+    "GramContext",
     "covariance",
     "build_gram",
     "increment_variance",
@@ -41,61 +44,37 @@ __all__ = [
 JITTER_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 
-class ModelKind(str, enum.Enum):
-    BM = "bm"
-    FBM = "fbm"
-    MIXED = "mixed"
-
-
-def _check_hurst(h: float) -> float:
-    h = float(h)
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst parameter must lie in (0, 1), got {h!r}")
-    return h
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
-    """A covariance function R(t, s) on [0, inf)^2.
+    """X = alpha * B + beta * B^H with independent components, so the
+    covariances add: R = alpha^2 * min(t, s) + beta^2 * R_H(t, s).
 
-    For ``MIXED`` the weights refer to X = alpha * B + beta * B^H with the
-    two components independent, so covariances add.
+    The one validator of model parameters: H in (0, 1), weights finite,
+    nonnegative and not both zero.
     """
 
-    kind: ModelKind
-    hurst: float | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
+    alpha: float
+    beta: float
+    hurst: float
 
     def __post_init__(self):
-        if self.kind in (ModelKind.FBM, ModelKind.MIXED):
-            if self.hurst is None:
-                raise ValueError(f"{self.kind.value} model requires a Hurst parameter")
-            object.__setattr__(self, "hurst", _check_hurst(self.hurst))
-        if self.kind is ModelKind.MIXED:
-            if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-                raise ValueError("mixed weights must be finite")
-            if self.alpha < 0.0 or self.beta < 0.0:
-                raise ValueError("mixed weights must be nonnegative")
-            if self.alpha == 0.0 and self.beta == 0.0:
-                raise ValueError("mixed weights must not both be zero")
+        h = float(self.hurst)
+        if not 0.0 < h < 1.0:
+            raise ValueError(f"Hurst parameter must lie in (0, 1), got {h!r}")
+        object.__setattr__(self, "hurst", h)
+        a, b = self.alpha, self.beta
+        if not (math.isfinite(a) and math.isfinite(b) and min(a, b) >= 0.0
+                and (a or b)):
+            raise ValueError("weights alpha and beta must be finite, nonnegative "
+                             f"and not both zero, got alpha={a!r}, beta={b!r}")
 
     @staticmethod
     def bm() -> "CovarianceModel":
-        return CovarianceModel(ModelKind.BM)
+        return CovarianceModel(1.0, 0.0, 0.5)
 
     @staticmethod
     def fbm(hurst: float) -> "CovarianceModel":
-        return CovarianceModel(ModelKind.FBM, hurst=hurst)
-
-    @staticmethod
-    def mixed(alpha: float, beta: float, hurst: float) -> "CovarianceModel":
-        return CovarianceModel(ModelKind.MIXED, hurst=hurst, alpha=alpha, beta=beta)
-
-
-def _fbm_cov(h: float, t, s):
-    two_h = 2.0 * h
-    return 0.5 * (t**two_h + s**two_h - np.abs(t - s) ** two_h)
+        return CovarianceModel(0.0, 1.0, hurst)
 
 
 def covariance(model: CovarianceModel, t, s):
@@ -104,14 +83,9 @@ def covariance(model: CovarianceModel, t, s):
     s = np.asarray(s, dtype=float)
     if np.any(t < 0.0) or np.any(s < 0.0):
         raise ValueError("covariance arguments must be nonnegative times")
-    if model.kind is ModelKind.BM:
-        out = np.minimum(t, s)
-    elif model.kind is ModelKind.FBM:
-        out = _fbm_cov(model.hurst, t, s)
-    else:
-        out = model.alpha**2 * np.minimum(t, s) + model.beta**2 * _fbm_cov(
-            model.hurst, t, s
-        )
+    two_h = 2.0 * model.hurst
+    out = model.alpha**2 * np.minimum(t, s) + model.beta**2 * (
+        0.5 * (t**two_h + s**two_h - np.abs(t - s) ** two_h))
     if out.ndim == 0:
         return float(out)
     return out
@@ -180,26 +154,6 @@ class TimeGrid:
         return int(np.argmin(np.abs(self.times - t)))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Covariance Gram matrix with its (jittered, if needed) Cholesky factor.
-
-    ``sigma`` holds the exact covariances R(t_i, t_j), before any jitter.
-    ``chol`` satisfies chol @ chol.T = sigma + jitter * I.  ``jitter`` is
-    0.0 when the bare factorization succeeded.
-    """
-
-    model: CovarianceModel
-    grid: TimeGrid
-    sigma: np.ndarray
-    chol: np.ndarray
-    jitter: float
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
-
-
 def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     """(L, jitter) with L L^T = a + jitter * I, for a symmetric PSD matrix.
 
@@ -217,7 +171,47 @@ def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     return None
 
 
-def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramMatrix:
+@dataclass(frozen=True)
+class GramContext:
+    """Gram matrix of a model on a grid, with its Cholesky factor.
+
+    ``sigma`` is the operative Gram R(t_i, t_j) + jitter * I, and ``chol``
+    satisfies chol @ chol.T = sigma.  ``jitter`` is 0.0 when the bare
+    factorization succeeded.  The factor of every leading block
+    sigma[:j, :j] is chol[:j, :j].
+    """
+
+    model: CovarianceModel
+    grid: TimeGrid
+    sigma: np.ndarray
+    chol: np.ndarray
+    jitter: float
+
+    @staticmethod
+    def build(model: CovarianceModel, grid: TimeGrid) -> "GramContext":
+        # looked up as a module global, so a wrapper around build_gram (a
+        # profiler's, say) sees every build
+        return build_gram(model, grid)
+
+    @property
+    def n(self) -> int:
+        return self.sigma.shape[0]
+
+    def solve_leading(self, j: int, rhs: np.ndarray) -> np.ndarray:
+        """Solve Sigma[:j, :j] y = rhs via the cached Cholesky block.
+
+        rhs may be (j,) or (j, k); returns matching shape.
+        """
+        if not 0 <= j <= self.n:
+            raise ValueError(f"leading block size {j} out of range 0..{self.n}")
+        if j == 0:
+            return np.zeros_like(rhs)
+        block = self.chol[:j, :j]
+        half = solve_triangular(block, rhs, lower=True)
+        return solve_triangular(block, half, lower=True, trans="T")
+
+
+def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramContext:
     """Assemble sigma[i, j] = R(t_i, t_j) and factor it with
     `jittered_cholesky`; beyond its ladder the model/grid pair is declared
     ill-conditioned.
@@ -231,11 +225,13 @@ def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramMatrix:
     factored = jittered_cholesky(sigma)
     if factored is None:
         raise IllConditionedModelError(
-            f"Gram matrix for {model.kind.value} on n={grid.n} grid is not "
+            f"Gram matrix of {model} on n={grid.n} grid is not "
             f"factorizable within the jitter ladder (top eps=1e-8)",
             jitter=JITTER_LADDER[-1] * float(np.mean(np.diag(sigma))),
         )
     chol, jitter = factored
+    if jitter > 0.0:
+        sigma = sigma + jitter * np.eye(grid.n)
     sigma.setflags(write=False)
     chol.setflags(write=False)
-    return GramMatrix(model=model, grid=grid, sigma=sigma, chol=chol, jitter=jitter)
+    return GramContext(model=model, grid=grid, sigma=sigma, chol=chol, jitter=jitter)

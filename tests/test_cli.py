@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import filecmp
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,14 @@ def test_bad_value_exits_one() -> None:
     # a check over zero Hurst values would pass vacuously
     ("lemma", "--set", "hurst_sweep="),
     ("verify-all", "--set", "times=0.2,0.5,0.9"),
+    # seeds outside [0, 2^64), a non-finite horizon, non-finite weights
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", str(2**64), "--export", os.devnull),
+    ("simulate", "--set", "horizon=1e400"),
+    ("mixed", "--set", "alpha=inf"),
+    ("mixed", "--set", "beta=nan"),
+    # one grid size cannot show refinement
+    ("factorize", "--set", "functional=quadratic", "--set", "grid_sweep=32"),
 ])
 def test_invalid_input_exits_one_without_traceback(argv, tmp_path, capsys) -> None:
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
@@ -182,3 +192,15 @@ def test_config_file_flow(tmp_path) -> None:
     )
     assert rc == 0
     assert any("0.4" in p.name for p in tmp_path.iterdir())
+
+
+def test_report_digest_configs_parse() -> None:
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    parser = cli.build_parser()
+    for argv in digest.CONFIGS:
+        args = parser.parse_args([*argv, "--out-dir", "unused"])
+        assert args.command == argv[0]
+        cli._collect_config(args)  # every key and value is valid

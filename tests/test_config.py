@@ -96,6 +96,11 @@ def test_validation_errors() -> None:
         dict(hurst_sweep=(0.0,)),
         dict(hurst_sweep=()),
         dict(grid_sweep=(0, 8)),
+        dict(seed=-1),
+        dict(seed=2**64),
+        dict(horizon=float("inf")),
+        dict(model="mixed", alpha=float("inf")),
+        dict(model="mixed", beta=float("nan")),
     ):
         with pytest.raises(ConfigError):
             dataclasses.replace(DEFAULTS, **kw)

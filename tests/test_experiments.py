@@ -142,8 +142,11 @@ def test_mixed_small() -> None:
     assert rep.summary["failures"] == 0
 
 
-def test_mixed_beta_zero_exact_linear() -> None:
-    rep = run_mixed(small(model="mixed", alpha=1.0, beta=0.0,
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (0.7, 1.2)],
+                         ids=["beta0", "alpha0", "general"])
+def test_mixed_beta_zero_exact_linear(alpha: float, beta: float) -> None:
+    # the linear Clark residual is exact for every weight pair, not only beta = 0
+    rep = run_mixed(small(model="mixed", alpha=alpha, beta=beta,
                           functional="linear", paths=4_000))
     assert rep.passed
     resid = [r for r in rep.results if r.get("kind") == "clark_residual"][0]

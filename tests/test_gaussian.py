@@ -12,7 +12,7 @@ from roughcalc.energy import GramContext
 from roughcalc.errors import UnsupportedDimensionError
 from roughcalc.gaussian import (CHUNK_ROWS, ConditionalLaw, PathEnsemble,
                                 RngStream, conditional_expectation,
-                                conditional_law, expect_scalar, isonormal,
+                                conditional_law, expect_scalar,
                                 read_ensemble, regression_coefficients,
                                 sample_ensemble, sample_ensemble_circulant,
                                 write_ensemble)
@@ -85,14 +85,18 @@ def test_circulant_bm_increments_uncorrelated() -> None:
     assert abs(r) <= 5.0 / math.sqrt(inc[:, :-1].size)
 
 
-def test_isonormal_representer_gives_coordinate() -> None:
-    ctx = make_ctx()
-    paths = sample_ensemble(ctx, 32, seed=3).paths
-    e4 = np.zeros(ctx.n)
-    e4[4] = 1.0
-    assert np.array_equal(isonormal(ctx, e4, paths), paths[:, 4])
-    c = np.array([0.5, 0.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.25])
-    assert np.allclose(isonormal(ctx, c, paths), paths @ c, atol=0.0)
+def test_circulant_scales_a_one_component_model() -> None:
+    # beta = 0 samples B at H = 1/2 whatever the model's hurst; the nonzero
+    # weight scales the unit-weight paths, and a two-component model is refused
+    grid = TimeGrid.uniform_grid(16)
+    for model, unit in ((CovarianceModel(0.0, 2.5, 0.3), CovarianceModel.fbm(0.3)),
+                        (CovarianceModel(2.5, 0.0, 0.3), CovarianceModel.bm())):
+        got = sample_ensemble_circulant(GramContext.build(model, grid), 64, seed=4)
+        want = sample_ensemble_circulant(GramContext.build(unit, grid), 64, seed=4)
+        assert np.allclose(got.paths, 2.5 * want.paths, rtol=1e-12, atol=1e-12)
+    mixed = GramContext.build(CovarianceModel(1.0, 1.0, 0.3), grid)
+    with pytest.raises(ValueError):
+        sample_ensemble_circulant(mixed, 64, seed=4)
 
 
 def test_ensemble_io_round_trip(tmp_path) -> None:

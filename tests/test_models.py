@@ -18,15 +18,36 @@ def ref_fbm_cov(h: float, s: float, t: float) -> float:
 
 def test_bm_gram_on_two_point_grid() -> None:
     grid = TimeGrid(np.array([0.5, 1.0]), horizon=1.0)
-    gram = build_gram(CovarianceModel.bm(), grid)
-    assert np.allclose(gram.sigma, [[0.5, 0.5], [0.5, 1.0]], atol=0.0)
+    ctx = build_gram(CovarianceModel.bm(), grid)
+    assert np.allclose(ctx.sigma, [[0.5, 0.5], [0.5, 1.0]], atol=0.0)
 
 
 def test_fbm_single_point_gram_is_t_power() -> None:
     grid = TimeGrid(np.array([1.0]), horizon=1.0)
-    gram = build_gram(CovarianceModel.fbm(0.25), grid)
-    assert gram.sigma.shape == (1, 1)
-    assert gram.sigma[0, 0] == pytest.approx(1.0, abs=1e-15)
+    ctx = build_gram(CovarianceModel.fbm(0.25), grid)
+    assert ctx.sigma.shape == (1, 1)
+    assert ctx.sigma[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+def _grids():
+    rng = np.random.default_rng(3)
+    yield TimeGrid.uniform_grid(1)
+    yield TimeGrid.uniform_grid(64, horizon=2.5)
+    yield TimeGrid.uniform_grid(1024)
+    yield TimeGrid(np.array([0.5, 0.5 + 1e-12, 1.0]), horizon=1.0)
+    yield TimeGrid(np.unique(rng.uniform(1e-3, 1.0, size=200)), horizon=1.0)
+
+
+def test_bm_and_fbm_covariance_are_bitwise_the_pure_formulas() -> None:
+    # the one weighted expression adds an exact 0 for the zero-weight term
+    for grid in _grids():
+        t, s = grid.times[:, None], grid.times[None, :]
+        assert np.array_equal(covariance(CovarianceModel.bm(), t, s), np.minimum(t, s))
+        for h in (0.05, 0.25, 0.5, 0.75, 0.95):
+            want = 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
+            assert np.array_equal(covariance(CovarianceModel.fbm(h), t, s), want)
+    assert covariance(CovarianceModel.bm(), 0.3, 0.7) == 0.3
+    assert covariance(CovarianceModel.fbm(0.3), 0.4, 0.9) == ref_fbm_cov(0.3, 0.4, 0.9)
 
 
 def test_fbm_covariance_matches_reference_formula() -> None:
@@ -86,7 +107,7 @@ def test_covariance_symmetry(h: float, s: float, t: float) -> None:
 
 
 def test_mixed_covariance_is_weighted_sum() -> None:
-    model = CovarianceModel.mixed(alpha=0.7, beta=1.3, hurst=0.25)
+    model = CovarianceModel(alpha=0.7, beta=1.3, hurst=0.25)
     s, t = 0.3, 0.8
     want = 0.7**2 * min(s, t) + 1.3**2 * ref_fbm_cov(0.25, s, t)
     assert covariance(model, s, t) == pytest.approx(want, rel=1e-15)
@@ -99,6 +120,14 @@ def test_hurst_validation() -> None:
         CovarianceModel.fbm(1.0)
     with pytest.raises(ValueError):
         CovarianceModel.fbm(-0.25)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (-0.5, 1.0), (0.0, 0.0), (float("inf"), 1.0), (1.0, float("nan")),
+])
+def test_weight_validation(alpha: float, beta: float) -> None:
+    with pytest.raises(ValueError):
+        CovarianceModel(alpha, beta, 0.25)
 
 
 def test_grid_rejects_zero_and_disorder() -> None:
@@ -135,9 +164,19 @@ def test_gram_psd_with_bounded_jitter() -> None:
         times = np.sort(rng.uniform(0.01, 1.0, size=n))
         times = np.unique(times)
         grid = TimeGrid(times, horizon=1.0)
-        gram = build_gram(CovarianceModel.fbm(h), grid)
-        assert gram.jitter <= 1e-8 * np.mean(np.diag(gram.sigma))
-        # a Cholesky factor exists, so sigma + jitter is PSD
-        recon = gram.chol @ gram.chol.T
-        target = gram.sigma + gram.jitter * np.eye(grid.n)
-        assert np.max(np.abs(recon - target)) <= 1e-10
+        ctx = build_gram(CovarianceModel.fbm(h), grid)
+        assert ctx.jitter <= 1e-8 * np.mean(np.diag(ctx.sigma))
+        # the factor reproduces the operative (jitter-included) sigma
+        assert np.max(np.abs(ctx.chol @ ctx.chol.T - ctx.sigma)) <= 1e-10
+
+
+def test_operative_sigma_includes_fired_jitter() -> None:
+    # two times 1e-12 apart make the bare Gram numerically singular
+    grid = TimeGrid(np.array([0.5, 0.5 + 1e-12, 1.0]), horizon=1.0)
+    model = CovarianceModel.fbm(0.75)
+    ctx = build_gram(model, grid)
+    raw = covariance(model, grid.times[:, None], grid.times[None, :])
+    assert ctx.jitter == JITTER_LADDER[0] * np.mean(np.diag(raw))
+    assert 5e-13 < ctx.jitter < 6e-13
+    assert np.array_equal(ctx.sigma, raw + ctx.jitter * np.eye(3))
+    assert np.max(np.abs(ctx.chol @ ctx.chol.T - ctx.sigma)) <= 1e-15
