@@ -22,6 +22,14 @@ __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULTS"]
 MIN_STATISTICAL_PATHS = 1000
 
 
+def float_label(x: float) -> str:
+    """File-name form of a parameter: the shortest repr that round-trips,
+    so distinct values never share a report name, with a trailing ".0"
+    dropped (1.0 -> "1", 0.25 -> "0.25")."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str = "fbm"
@@ -97,7 +105,7 @@ class ExperimentConfig:
             )
 
     def hurst_label(self) -> str:
-        return format(self.covariance_model().hurst, "g")
+        return float_label(self.covariance_model().hurst)
 
     # Execution details, not experiment definition: reports must be
     # byte-identical across worker counts and output locations.

@@ -32,11 +32,11 @@ from dataclasses import replace
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, float_label
 from .energy import GramContext, increment_element, inner_product, project_adapted
 from .errors import ConfigError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
-from .gaussian import (PathEnsemble, RngStream, conditional_law,
+from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, conditional_law,
                        regression_coefficients, sample_ensemble,
                        sample_ensemble_circulant, write_ensemble)
 from .malliavin import (VectorField, affine_field, clark_integrand,
@@ -133,7 +133,7 @@ def _report(cfg: ExperimentConfig, experiment: str, n: int) -> ExperimentReport:
     # Mixed runs with different weights must not share an output file name.
     model = cfg.model
     if model == "mixed":
-        model = f"mixed-{cfg.alpha:g}-{cfg.beta:g}"
+        model = f"mixed-{float_label(cfg.alpha)}-{float_label(cfg.beta)}"
     return ExperimentReport(
         experiment=experiment,
         config=cfg.echo(),
@@ -591,6 +591,43 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
 # --- sampler checks ----------------------------------------------------------
 
 
+def _increment_stats(paths: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sample variance (ddof 1) of each increment column, with the path
+    starting at 0, and the Pearson correlation of the pooled lag-1 pairs.
+
+    The increments are formed BLOCK_BYTES worth of columns at a time and
+    transposed, so that each column reduces as one contiguous row (the
+    same pairwise sums as a column on its own); a block starts one column
+    early so that its first lag pair straddles the previous block.
+    """
+    m, n = paths.shape
+    variances = np.empty(n)
+    col_sum = np.empty(n)
+    col_sq = np.empty(n)
+    lag = np.empty(max(n - 1, 0))
+    cols = max(1, BLOCK_BYTES // (8 * m))
+    for c0 in range(0, n, cols):
+        c1 = min(c0 + cols, n)
+        lo = max(c0 - 1, 0)
+        prev = paths[:, lo - 1:lo] if lo else 0.0
+        block = np.diff(paths[:, lo:c1], axis=1, prepend=prev).T.copy()
+        own = block[c0 - lo:]
+        variances[c0:c1] = np.var(own, axis=1, ddof=1)
+        col_sum[c0:c1] = own.sum(axis=1)
+        col_sq[c0:c1] = np.einsum("ij,ij->i", own, own)
+        lag[lo:c1 - 1] = np.einsum("ij,ij->i", block[:-1], block[1:])
+    # raw moments of a = columns 0..n-2 and b = columns 1..n-1
+    count = m * (n - 1)
+    if count == 0:
+        return variances, float("nan")
+    sa, sb = float(col_sum[:-1].sum()), float(col_sum[1:].sum())
+    cov = float(lag.sum()) - sa * sb / count
+    var_a = float(col_sq[:-1].sum()) - sa * sa / count
+    var_b = float(col_sq[1:].sum()) - sb * sb / count
+    denom = math.sqrt(var_a * var_b)
+    return variances, cov / denom if denom > 0.0 else float("nan")
+
+
 def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
     model, grid, paths = ctx.model, ctx.grid, ens.paths
     m = paths.shape[0]
@@ -598,14 +635,14 @@ def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
     var_term, se_var = _var_se(terminal)
     theory_var = float(increment_variance(model, 0.0, float(grid.times[-1])))
     ks = _scipy_stats.kstest(terminal, "norm", args=(0.0, math.sqrt(theory_var)))
-    increments = np.diff(paths, axis=1, prepend=0.0)
+    variances, lag1 = _increment_stats(paths)
     t_lo = np.concatenate(([0.0], grid.times[:-1]))
+    se_factor = math.sqrt(2.0 / (m - 1))
     worst = 0.0
     for i in range(grid.n):
-        v, se = _var_se(increments[:, i])
+        v = float(variances[i])
         theory = increment_variance(model, float(t_lo[i]), float(grid.times[i]))
-        worst = max(worst, _sigma_units(v - theory, se))
-    lag1 = _pearson(increments[:, :-1].ravel(), increments[:, 1:].ravel())
+        worst = max(worst, _sigma_units(v - theory, v * se_factor))
     return {
         "sampler": ens.sampler,
         "fallback": bool(ens.fallback),
@@ -632,8 +669,9 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     sampler but not gated: at the 1% level it trips by chance on about one
     run in fifty, which would make a deterministic pipeline flaky.  The
     gates are statistical, so fewer than MIN_STATISTICAL_PATHS paths are a
-    config error.  The optional export writes the dense ensemble in the
-    binary format.
+    config error.  The summary records the circulant embedding's
+    min/max eigenvalue ratio (None without a circulant run).  The optional
+    export writes the dense ensemble in the binary format.
     """
     cfg.require_statistical()
     grid = cfg.grid()
@@ -658,10 +696,12 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     dense = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                             workers=cfg.workers)
     rows = [_sampler_stats(ctx, dense)]
+    min_eig_ratio = None
     if grid.uniform:
         circ = sample_ensemble_circulant(ctx, cfg.paths, cfg.seed,
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
+        min_eig_ratio = circ.min_eig_ratio
         rows.append(_sampler_stats(ctx, circ))
     ok = True
     for row in rows:
@@ -677,7 +717,8 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                    passed=bool(cross_ok))
         ok = ok and cross_ok
     report.summary = {"jitter": ctx.jitter,
-                      "samplers": [r.get("sampler") for r in rows]}
+                      "samplers": [r.get("sampler") for r in rows],
+                      "circulant_min_eig_ratio": min_eig_ratio}
     report.passed = bool(ok)
     if export_path is not None:
         write_ensemble(export_path, dense)

@@ -10,14 +10,19 @@ Two samplers produce ensembles of paths X ~ N(0, Sigma):
       rho(k) = 0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
   on uniform grids: the length-2n symmetric extension of rho is diagonalized
-  by the FFT, complex normals are shaped to Hermitian symmetry, and the real
-  part of the inverse transform is exact stationary noise provided every
-  embedding eigenvalue is nonnegative.  Eigenvalues below -1e-9 * max force
-  a fallback to the dense sampler, flagged on the ensemble.
+  by the FFT, normals weighted by the square-root spectrum fill the n + 1
+  coefficients of a Hermitian half spectrum, and its real inverse transform
+  is exact stationary noise provided every embedding eigenvalue is
+  nonnegative (Davies-Harte 1987, Wood-Chan 1994).  Eigenvalues below
+  -1e-9 * max force a fallback to the dense sampler, flagged on the
+  ensemble; the ratio min/max is recorded either way.
 
 Randomness is keyed by (seed, stream, chunk): each fixed-size chunk of rows
 gets its own PCG64 generator via SeedSequence spawn keys, so ensembles are
-bit-identical for any worker count and any chunk execution order.
+bit-identical for any worker count and any chunk execution order.  Within a
+chunk the normals are drawn in row blocks of at most BLOCK_BYTES from that
+chunk's generator, in order, so the draws do not depend on the block size
+and the working memory of a sampler is bounded in bytes, not in rows.
 
 Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
 X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
@@ -50,6 +55,7 @@ from .errors import IllConditionedModelError, UnsupportedDimensionError
 from .models import GramContext, jittered_cholesky
 
 __all__ = [
+    "BLOCK_BYTES",
     "CHUNK_ROWS",
     "RngStream",
     "PathEnsemble",
@@ -65,6 +71,9 @@ __all__ = [
 ]
 
 CHUNK_ROWS = 16384
+# Byte budget of one work block: the normals a sampler draws at a time, and
+# the increment columns `experiments` reduces at a time.
+BLOCK_BYTES = 8 << 20
 
 _ENSEMBLE_MAGIC = b"RGCE"
 _ENSEMBLE_VERSION = 1
@@ -86,17 +95,25 @@ class RngStream:
 @dataclass(frozen=True)
 class PathEnsemble:
     """Rows are i.i.d. path vectors over the grid; ``seed`` goes into the
-    exported file header."""
+    exported file header.  ``min_eig_ratio`` is min/max of the circulant
+    embedding spectrum when the circulant sampler was asked for (also on a
+    fallback), else None."""
 
     paths: np.ndarray
     seed: int
     sampler: str
     fallback: bool = False
+    min_eig_ratio: float | None = None
 
 
 def _chunk_bounds(m: int):
     starts = range(0, m, CHUNK_ROWS)
     return [(lo, min(lo + CHUNK_ROWS, m)) for lo in starts]
+
+
+def _row_blocks(lo: int, hi: int, row_bytes: int):
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [(b0, min(b0 + step, hi)) for b0 in range(lo, hi, step)]
 
 
 def _fill_chunks(m, workers, fill):
@@ -122,8 +139,9 @@ def sample_ensemble(
     out = np.empty((m, ctx.n))
 
     def fill(c, lo, hi):
-        z = rng.generator(c).standard_normal((hi - lo, ctx.n))
-        out[lo:hi] = z @ lt
+        gen = rng.generator(c)
+        for b0, b1 in _row_blocks(lo, hi, 8 * ctx.n):
+            np.matmul(gen.standard_normal((b1 - b0, ctx.n)), lt, out=out[b0:b1])
 
     _fill_chunks(m, workers, fill)
     out.setflags(write=False)
@@ -164,34 +182,40 @@ def sample_ensemble_circulant(
     hurst = model.hurst if model.beta else 0.5
     n = ctx.n
     g = circulant_eigenvalues(hurst, n)
+    ratio = float(g.min() / g.max())
     if g.min() < -1e-9 * g.max():
         dense = sample_ensemble(ctx, m, seed, stream, workers)
-        return PathEnsemble(dense.paths, seed, "cholesky", fallback=True)
-    g = np.clip(g, 0.0, None)
-    sqrt_g = np.sqrt(g)
+        return PathEnsemble(dense.paths, seed, "cholesky", fallback=True,
+                            min_eig_ratio=ratio)
     m_emb = 2 * n
     dt = ctx.grid.times[0]
     scale = (model.beta or model.alpha) * dt**hurst
+    # Weights of the half spectrum: the normals z_0 and z_1 carry the real
+    # coefficients 0 and n, and (z_{2..n} + i z_{n+1..2n-1}) / sqrt(2) the
+    # complex ones; irfft's 1/(2n) is undone by sqrt(2n).
+    w = np.sqrt(np.clip(g[:n + 1], 0.0, None)) * (np.sqrt(m_emb) * scale)
+    w[1:n] /= np.sqrt(2.0)
     rng = RngStream(seed, stream)
     out = np.empty((m, n))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
     def fill(c, lo, hi):
-        rows = hi - lo
-        z = rng.generator(c).standard_normal((rows, m_emb))
-        zc = np.empty((rows, m_emb), dtype=complex)
-        zc[:, 0] = z[:, 0]
-        zc[:, n] = z[:, 1]
-        a = z[:, 2:n + 1]
-        b = z[:, n + 1:]
-        zc[:, 1:n] = (a + 1j * b) * inv_sqrt2
-        zc[:, n + 1:] = (a[:, ::-1] - 1j * b[:, ::-1]) * inv_sqrt2
-        fgn = np.sqrt(m_emb) * np.fft.ifft(sqrt_g[None, :] * zc, axis=1).real[:, :n]
-        out[lo:hi] = np.cumsum(scale * fgn, axis=1)
+        gen = rng.generator(c)
+        for b0, b1 in _row_blocks(lo, hi, 8 * m_emb):
+            z = gen.standard_normal((b1 - b0, m_emb))
+            half = np.zeros((b1 - b0, n + 1), dtype=complex)
+            half.real[:, 0] = z[:, 0]
+            half.real[:, n] = z[:, 1]
+            half.real[:, 1:n] = z[:, 2:n + 1]
+            half.imag[:, 1:n] = z[:, n + 1:]
+            del z
+            half *= w
+            fgn = np.fft.irfft(half, n=m_emb, axis=1)
+            del half
+            np.cumsum(fgn[:, :n], axis=1, out=out[b0:b1])
 
     _fill_chunks(m, workers, fill)
     out.setflags(write=False)
-    return PathEnsemble(out, seed, "circulant")
+    return PathEnsemble(out, seed, "circulant", min_eig_ratio=ratio)
 
 
 def write_ensemble(path, ens: PathEnsemble) -> None:
@@ -201,7 +225,7 @@ def write_ensemble(path, ens: PathEnsemble) -> None:
     header = _ENSEMBLE_MAGIC + _HEADER.pack(_ENSEMBLE_VERSION, m, n, ens.seed)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(ens.paths.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(ens.paths, "<f8").data)
 
 
 def read_ensemble(path) -> tuple[np.ndarray, int]:
@@ -224,8 +248,12 @@ def read_ensemble(path) -> tuple[np.ndarray, int]:
         if actual != expected:
             raise ValueError(f"ensemble payload of {m} x {n} paths needs "
                              f"{expected} bytes, file holds {actual}")
-        data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(m, n)
-    return data.copy(), seed
+        data = np.empty((m, n), dtype="<f8")
+        got = fh.readinto(data)
+        if got != expected:
+            raise ValueError(f"ensemble payload of {m} x {n} paths needs "
+                             f"{expected} bytes, read {got}")
+    return data, seed
 
 
 @dataclass(frozen=True)

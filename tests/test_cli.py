@@ -124,6 +124,20 @@ def test_mixed_subcommand_defaults_to_mixed_model(tmp_path, capsys) -> None:
     assert any("mixed-1-1" in p.name for p in tmp_path.iterdir())
 
 
+def test_nearby_parameters_write_distinct_reports(tmp_path) -> None:
+    # six significant digits would give each pair one file name
+    runs = (("mixed", "--set", "alpha=1"), ("mixed", "--set", "alpha=1.0000001"),
+            ("simulate", "--hurst", "0.25"), ("simulate", "--hurst", "0.2500001"))
+    for argv in runs:
+        assert run_cli(*argv, "--grid-n", "8", "--paths", "1000",
+                       "--out-dir", str(tmp_path)) == 0
+    names = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert names == ["mixed_mixed-1-1_0.25_8_42.json",
+                     "mixed_mixed-1.0000001-1_0.25_8_42.json",
+                     "simulate_fbm_0.2500001_8_42.json",
+                     "simulate_fbm_0.25_8_42.json"]
+
+
 def test_failing_experiment_exits_three(tmp_path, monkeypatch, capsys) -> None:
     blurb, real = cli._EXPERIMENTS["adjointness"]
 

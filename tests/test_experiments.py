@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from roughcalc import experiments, gaussian
 from roughcalc.config import DEFAULTS, ExperimentConfig
 from roughcalc.errors import ConfigError
+from roughcalc.gaussian import CHUNK_ROWS, sample_ensemble
+from roughcalc.models import (CovarianceModel, GramContext, TimeGrid,
+                              increment_variance)
 from roughcalc.experiments import (run_adjointness, run_factorization,
                                    run_gubinelli_compare,
                                    run_increment_identity,
@@ -121,6 +127,73 @@ def test_simulate_uniform_runs_both_samplers(tmp_path) -> None:
     assert (tmp_path / "e.bin").exists()
     kinds = [row.get("check") for row in rep.results]
     assert "terminal_var_cross" in kinds
+
+
+def _column_loop_stats(ctx, paths: np.ndarray) -> tuple[float, float, float]:
+    """(max_increment_sigma, terminal_var, lag1 correlation) by one strided
+    column of a full increment copy at a time, and two raveled copies."""
+    model, grid = ctx.model, ctx.grid
+    increments = np.diff(paths, axis=1, prepend=0.0)
+    t_lo = np.concatenate(([0.0], grid.times[:-1]))
+    worst = 0.0
+    for i in range(grid.n):
+        col = increments[:, i]
+        v = float(np.var(col, ddof=1))
+        se = v * math.sqrt(2.0 / (col.size - 1))
+        theory = increment_variance(model, float(t_lo[i]), float(grid.times[i]))
+        worst = max(worst, abs(v - theory) / se)
+    a = increments[:, :-1].ravel()
+    b = increments[:, 1:].ravel()
+    a = a - a.mean()
+    b = b - b.mean()
+    lag1 = float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))
+    return worst, float(np.var(paths[:, -1], ddof=1)), lag1
+
+
+@pytest.mark.parametrize("model, n", [
+    (CovarianceModel.fbm(0.25), 2),
+    (CovarianceModel.fbm(0.25), 300),
+    (CovarianceModel.fbm(0.75), 131),
+    (CovarianceModel.bm(), 300),
+], ids=["fbm025-n2", "fbm025-n300", "fbm075-n131", "bm-n300"])
+def test_sampler_stats_match_column_loop(model, n: int) -> None:
+    # 300 columns of 18 384 paths span six column blocks
+    ctx = GramContext.build(model, TimeGrid.uniform_grid(n))
+    ens = sample_ensemble(ctx, CHUNK_ROWS + 2000, seed=3)
+    row = experiments._sampler_stats(ctx, ens)
+    worst, terminal_var, lag1 = _column_loop_stats(ctx, ens.paths)
+    assert row["max_increment_sigma"] == worst
+    assert row["terminal_var"] == terminal_var
+    # a reordered sum: relative roundoff where the correlation is O(1), and
+    # absolute roundoff for Brownian increments, whose correlation is ~0
+    bound = 1e-12 * abs(lag1) if model.beta else 1e-14
+    assert abs(row["lag1_increment_corr"] - lag1) <= bound
+
+
+def test_sampler_stats_working_memory_is_bounded_in_bytes() -> None:
+    ctx = GramContext.build(CovarianceModel.fbm(0.25), TimeGrid.uniform_grid(512))
+    ens = sample_ensemble(ctx, CHUNK_ROWS + 2000, seed=3, workers=2)
+    tracemalloc.start()
+    try:
+        experiments._sampler_stats(ctx, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 << 20
+
+
+def test_simulate_summary_records_min_eigenvalue_ratio(monkeypatch) -> None:
+    rep = run_simulate(small(grid_n=16, paths=2_000))
+    ratio = rep.summary["circulant_min_eig_ratio"]
+    assert ratio > -1e-9
+    timed = run_simulate(small(grid_n=16, paths=2_000, times=(0.1, 0.5, 0.9)))
+    assert timed.summary["circulant_min_eig_ratio"] is None
+    monkeypatch.setattr(gaussian, "circulant_eigenvalues",
+                        lambda h, n: np.r_[-0.5, np.ones(2 * n - 1)])
+    fell_back = run_simulate(small(grid_n=16, paths=2_000))
+    assert fell_back.summary["samplers"] == ["cholesky", "cholesky"]
+    assert fell_back.results[1]["fallback"] is True
+    assert fell_back.summary["circulant_min_eig_ratio"] == -0.5
 
 
 def test_simulate_mixed_model() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,119 @@ def test_circulant_scales_a_one_component_model() -> None:
     mixed = GramContext.build(CovarianceModel(1.0, 1.0, 0.3), grid)
     with pytest.raises(ValueError):
         sample_ensemble_circulant(mixed, 64, seed=4)
+
+
+def _full_spectrum_paths(ctx: GramContext, m: int, seed: int, stream: int,
+                         rows: int = 1024) -> np.ndarray:
+    """The circulant formula of the full-length Hermitian spectrum and a
+    complex inverse FFT, applied `rows` rows at a time to the same chunked
+    draws."""
+    model, n = ctx.model, ctx.n
+    hurst = model.hurst if model.beta else 0.5
+    sqrt_g = np.sqrt(np.clip(gaussian.circulant_eigenvalues(hurst, n), 0.0, None))
+    m_emb = 2 * n
+    scale = (model.beta or model.alpha) * ctx.grid.times[0] ** hurst
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    out = np.empty((m, n))
+    for c, lo in enumerate(range(0, m, CHUNK_ROWS)):
+        hi = min(lo + CHUNK_ROWS, m)
+        gen = RngStream(seed, stream).generator(c)
+        for b0 in range(lo, hi, rows):
+            b1 = min(b0 + rows, hi)
+            z = gen.standard_normal((b1 - b0, m_emb))
+            zc = np.empty((b1 - b0, m_emb), dtype=complex)
+            zc[:, 0] = z[:, 0]
+            zc[:, n] = z[:, 1]
+            a = z[:, 2:n + 1]
+            b = z[:, n + 1:]
+            zc[:, 1:n] = (a + 1j * b) * inv_sqrt2
+            zc[:, n + 1:] = (a[:, ::-1] - 1j * b[:, ::-1]) * inv_sqrt2
+            fgn = np.sqrt(m_emb) * np.fft.ifft(sqrt_g[None, :] * zc, axis=1).real[:, :n]
+            out[b0:b1] = np.cumsum(scale * fgn, axis=1)
+    return out
+
+
+def test_generator_draws_do_not_depend_on_block_size() -> None:
+    # the samplers draw a chunk's normals in row blocks; this is what keeps
+    # the paths independent of the block size
+    whole = RngStream(3, 1).generator(0).standard_normal((1000, 7))
+    gen = RngStream(3, 1).generator(0)
+    parts = [gen.standard_normal((rows, 7)) for rows in (1, 333, 666)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25])
+@pytest.mark.parametrize("n", [8, 64, 1023])
+def test_circulant_matches_full_spectrum_formula(n: int, h: float) -> None:
+    ctx = make_ctx(h=h, n=n)
+    m = CHUNK_ROWS + 2000  # two chunks, several row blocks at n >= 64
+    got = sample_ensemble_circulant(ctx, m, seed=11, stream=1).paths
+    want = _full_spectrum_paths(ctx, m, seed=11, stream=1)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_dense_matches_one_product_per_chunk() -> None:
+    ctx = make_ctx(n=512)
+    m = CHUNK_ROWS + 2000
+    got = sample_ensemble(ctx, m, seed=11).paths
+    want = np.concatenate([
+        RngStream(11).generator(c).standard_normal((min(CHUNK_ROWS, m - lo), 512))
+        @ ctx.chol.T for c, lo in enumerate(range(0, m, CHUNK_ROWS))])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+SAMPLERS = [sample_ensemble, sample_ensemble_circulant]
+
+
+def _traced_peak(fn, *args):
+    """(result, peak traced bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])
+def test_samplers_bit_identical_across_workers(sampler) -> None:
+    ctx = make_ctx(n=512)
+    m = CHUNK_ROWS + 2000
+    one = sampler(ctx, m, 5, 0, 1)
+    two = sampler(ctx, m, 5, 0, 2)
+    assert np.array_equal(one.paths, two.paths)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])
+def test_sampler_working_memory_is_bounded_in_bytes(sampler) -> None:
+    # beyond its 72 MiB output, a sampler holds a few row blocks per worker
+    ctx = make_ctx(n=512)
+    ens, peak = _traced_peak(sampler, ctx, CHUNK_ROWS + 2000, 5, 0, 2)
+    assert ens.paths.nbytes == 8 * 512 * (CHUNK_ROWS + 2000)
+    assert peak - ens.paths.nbytes <= 96 << 20
+
+
+def test_ensemble_io_working_memory_is_bounded_in_bytes(tmp_path) -> None:
+    ens = sample_ensemble(make_ctx(n=512), CHUNK_ROWS + 2000, seed=5, workers=2)
+    p = tmp_path / "ens.bin"
+    _, write_peak = _traced_peak(write_ensemble, p, ens)
+    (paths, seed), read_peak = _traced_peak(read_ensemble, p)
+    assert write_peak <= 96 << 20
+    assert read_peak - paths.nbytes <= 96 << 20
+    assert seed == 5 and np.array_equal(paths, ens.paths)
+
+
+def test_circulant_records_min_eigenvalue_ratio(monkeypatch) -> None:
+    ens = sample_ensemble_circulant(make_ctx(h=0.25, n=64), 16, seed=1)
+    assert not ens.fallback
+    assert ens.min_eig_ratio > -1e-9
+    assert sample_ensemble(make_ctx(), 16, seed=1).min_eig_ratio is None
+    # a spectrum dipping below -1e-9 * max falls back and keeps its ratio
+    monkeypatch.setattr(gaussian, "circulant_eigenvalues",
+                        lambda h, n: np.r_[-0.5, np.ones(2 * n - 1)])
+    ens = sample_ensemble_circulant(make_ctx(h=0.25, n=8), 16, seed=1)
+    assert ens.fallback and ens.sampler == "cholesky"
+    assert ens.min_eig_ratio == -0.5
 
 
 def test_ensemble_io_round_trip(tmp_path) -> None:

@@ -1,0 +1,121 @@
+"""Time and traced memory of the samplers, the sampler statistics and the
+ensemble file I/O, at fixed sizes.
+
+For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
+
+* `sample_ensemble` and `sample_ensemble_circulant`, with 1 and 2 workers;
+* `experiments._sampler_stats` on the dense ensemble;
+* `write_ensemble` and `read_ensemble` of the dense ensemble;
+
+then makes one more call of each under `tracemalloc` and records its peak
+traced bytes, and that peak less the array the call returns.  The record
+also holds nproc, the BLAS library and the thread count the library
+reports.  BLAS runs one thread unless the environment sets the thread
+variables, as the benchmark does on two cores.  Uses the package under this
+checkout's ``src/``:
+
+    python3 tools/bench_sampler.py --label change --out BENCH_sampler.json
+
+With ``--out`` the record is stored under ``--label`` in that JSON file,
+beside the labels it already holds; without it, the record is printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import envinfo  # noqa: E402
+
+for _var in envinfo.BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from roughcalc import experiments  # noqa: E402
+from roughcalc.gaussian import (read_ensemble, sample_ensemble,  # noqa: E402
+                                sample_ensemble_circulant, write_ensemble)
+from roughcalc.models import CovarianceModel, GramContext, TimeGrid  # noqa: E402
+
+CASES = ((64, 20_000, 0.25), (1024, 20_000, 0.25))
+WORKERS = (1, 2)
+REPEATS = 5
+SEED = 42
+MIB = float(1 << 20)
+
+
+def _returned_bytes(result) -> int:
+    if isinstance(result, tuple):  # read_ensemble: (paths, seed)
+        result = result[0]
+    if isinstance(result, np.ndarray):
+        return result.nbytes
+    return getattr(getattr(result, "paths", None), "nbytes", 0)
+
+
+def _measure(fn) -> dict:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"best_s": round(best, 4),
+            "peak_mib": round(peak / MIB, 1),
+            "peak_beyond_result_mib": round((peak - _returned_bytes(result)) / MIB, 1)}
+
+
+def _case(n: int, m: int, hurst: float, tmp: Path) -> list[dict]:
+    ctx = GramContext.build(CovarianceModel.fbm(hurst), TimeGrid.uniform_grid(n))
+    where = {"n": n, "m": m, "hurst": hurst}
+    rows = []
+    for workers in WORKERS:
+        for step, sampler, stream in (("dense", sample_ensemble, 0),
+                                      ("circulant", sample_ensemble_circulant, 1)):
+            stats = _measure(lambda: sampler(ctx, m, SEED, stream, workers))
+            rows.append({"step": step, **where, "workers": workers, **stats})
+    dense = sample_ensemble(ctx, m, SEED)
+    target = tmp / "ensemble.bin"
+    write_ensemble(target, dense)
+    for step, fn in (("sampler_stats", lambda: experiments._sampler_stats(ctx, dense)),
+                     ("write", lambda: write_ensemble(target, dense)),
+                     ("read", lambda: read_ensemble(target))):
+        rows.append({"step": step, **where, "workers": 1, **_measure(fn)})
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [row for case in CASES for row in _case(*case, Path(tmp))]
+    env = envinfo.collect(workers=max(WORKERS))
+    del env["workers"]
+    record = {"env": env, "repeats": REPEATS, "rows": rows}
+    if args.out is None:
+        print(json.dumps(record, indent=1))
+        return 0
+    stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+    stored[args.label] = record
+    args.out.write_text(json.dumps(stored, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
