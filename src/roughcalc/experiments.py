@@ -27,6 +27,8 @@ Stream ids keep ensembles reproducible and non-overlapping:
 from __future__ import annotations
 
 import math
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -662,42 +664,27 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                  ) -> ExperimentReport:
     """Sample the configured model and validate marginals.
 
-    For bm/fbm on uniform grids the dense and circulant samplers are both
-    run and cross-checked: terminal variances must agree within 5 joint SE
-    and every increment variance must sit within 5 SE of the model value.
-    A Kolmogorov-Smirnov test of the terminal marginal is recorded per
-    sampler but not gated: at the 1% level it trips by chance on about one
-    run in fifty, which would make a deterministic pipeline flaky.  The
-    gates are statistical, so fewer than MIN_STATISTICAL_PATHS paths are a
-    config error.  The summary records the circulant embedding's
-    min/max eigenvalue ratio (None without a circulant run).  The optional
-    export writes the dense ensemble in the binary format.
+    Every model, mixtures included, is drawn by the dense sampler, and
+    every increment variance must sit within 5 SE of the model value.  On
+    uniform grids a one-component model (one weight zero) is also drawn by
+    the circulant sampler, and the two terminal variances must agree within
+    5 joint SE.  A Kolmogorov-Smirnov test of the terminal marginal is
+    recorded per sampler but not gated: at the 1% level it trips by chance
+    on about one run in fifty, which would make a deterministic pipeline
+    flaky.  The gates are statistical, so fewer than MIN_STATISTICAL_PATHS
+    paths are a config error.  The summary records the circulant
+    embedding's min/max eigenvalue ratio (None without a circulant run).
+    The optional export writes the dense ensemble in the binary format.
     """
     cfg.require_statistical()
     grid = cfg.grid()
     report = _report(cfg, "simulate", grid.n)
-    if cfg.model == "mixed":
-        mctx = MixedContext.build(cfg.alpha, cfg.beta, cfg.hurst, grid)
-        ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                           workers=cfg.workers)
-        var_term, se_var = _var_se(ens.paths_x[:, -1])
-        theory = float(mctx.ctx_x.sigma[grid.n - 1, grid.n - 1])
-        ok = bool(_sigma_units(var_term - theory, se_var) <= 5.0)
-        report.add(sampler="cholesky", component="mixture",
-                   terminal_var=var_term, terminal_var_se=se_var,
-                   terminal_var_model=theory, passed=ok)
-        report.summary = {"jitter": mctx.ctx_x.jitter}
-        report.passed = ok
-        if export_path is not None:
-            write_ensemble(export_path, PathEnsemble(ens.paths_x, cfg.seed, "cholesky"))
-        return report
-
     ctx = GramContext.build(cfg.covariance_model(), grid)
     dense = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                             workers=cfg.workers)
     rows = [_sampler_stats(ctx, dense)]
     min_eig_ratio = None
-    if grid.uniform:
+    if grid.uniform and not (ctx.model.alpha and ctx.model.beta):
         circ = sample_ensemble_circulant(ctx, cfg.paths, cfg.seed,
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
@@ -873,14 +860,19 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
     """Run the full check suite at the configured path count.
 
     Returns (sub-reports, summary report); the summary's rows record one
-    verdict per suite item.  File-level determinism (byte-identical output
-    for identical seeds across worker counts) is a property of every report
-    here, checked by rerunning the suite externally.
+    verdict per suite item.  Each check's wall time goes to stderr, one
+    line per check in suite order, and never into a report.  File-level
+    determinism (byte-identical output for identical seeds across worker
+    counts) is a property of every report here, checked by rerunning the
+    suite externally.
     """
     if cfg.times:
         raise ConfigError("verify-all sets each check's uniform grid; unset times")
-    reports = {name: run(replace(cfg, **overrides))
-               for name, (run, overrides) in _SUITE.items()}
+    reports = {}
+    for name, (run, overrides) in _SUITE.items():
+        start = time.perf_counter()
+        reports[name] = run(replace(cfg, **overrides))
+        print(f"  {name}: {time.perf_counter() - start:.2f}s", file=sys.stderr)
     criteria = [{"check": name, "report": rep.basename(), "passed": bool(rep.passed)}
                 for name, rep in reports.items()]
 
@@ -897,14 +889,7 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
                            exact=False)
     criteria.append({"check": "degeneration_alpha0", **deg_a0})
 
-    summary = ExperimentReport(
-        experiment="verify_all",
-        config=cfg.echo(),
-        model=cfg.model,
-        hurst_label=cfg.hurst_label(),
-        grid_label=cfg.grid_n,
-        seed=cfg.seed,
-    )
+    summary = _report(cfg, "verify_all", cfg.grid_n)
     for row in criteria:
         summary.add(**row)
     failures = [row["check"] for row in criteria if not row["passed"]]

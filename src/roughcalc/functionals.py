@@ -96,8 +96,9 @@ class BasisMap:
     """Scalar map h(v) = sum_b coeffs[b] basis_b(v) over the basis
     (1, v, v^2, sin v, cos v, e^v), evaluated elementwise.
 
-    Callable like any per-coordinate map; ``deriv`` and ``smoothed`` are
-    exact and read only the coefficients.
+    Callable like any per-coordinate map; ``deriv`` is exact and reads
+    only the coefficients, and `smooth_basis` of ``coeffs`` is the map's
+    Gaussian smoothing in closed form.
     """
 
     __slots__ = ("coeffs",)
@@ -123,10 +124,6 @@ class BasisMap:
 
     def deriv(self) -> "BasisMap":
         return BasisMap(_DERIV @ self.coeffs)
-
-    def smoothed(self, mu, var) -> np.ndarray:
-        """E[h(mu + sqrt(var) Z)], Z ~ N(0, 1)."""
-        return smooth_basis(self.coeffs, mu, var)
 
 
 @dataclass(frozen=True)

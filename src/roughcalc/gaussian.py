@@ -3,7 +3,8 @@
 Two samplers produce ensembles of paths X ~ N(0, Sigma):
 
 * `sample_ensemble` draws z ~ N(0, I) and maps through the Cholesky factor;
-  works for every model/grid.
+  works for every model/grid.  Its draw loop also serves the mixed model's
+  joint sampler, one factor per component.
 * `sample_ensemble_circulant` uses circulant embedding of the stationary
   fractional Gaussian noise autocovariance
 
@@ -128,24 +129,35 @@ def _fill_chunks(m, workers, fill):
             f.result()
 
 
+def _sample_dense(factors, m: int, seed: int, stream: int, workers: int
+                  ) -> list[np.ndarray]:
+    """m rows of z @ L^T for each Cholesky factor L in ``factors``, all of
+    one size n.  Chunk c's generator fills the first factor's rows, then the
+    next factor's, each in row blocks of at most BLOCK_BYTES of normals."""
+    if m < 1:
+        raise ValueError("ensemble size must be >= 1")
+    rng = RngStream(seed, stream)
+    n = factors[0].shape[0]
+    outs = [np.empty((m, n)) for _ in factors]
+
+    def fill(c, lo, hi):
+        gen = rng.generator(c)
+        for chol, out in zip(factors, outs):
+            for b0, b1 in _row_blocks(lo, hi, 8 * n):
+                np.matmul(gen.standard_normal((b1 - b0, n)), chol.T, out=out[b0:b1])
+
+    _fill_chunks(m, workers, fill)
+    for out in outs:
+        out.setflags(write=False)
+    return outs
+
+
 def sample_ensemble(
     ctx: GramContext, m: int, seed: int, stream: int = 0, workers: int = 1
 ) -> PathEnsemble:
     """m i.i.d. draws of N(0, Sigma) via the cached Cholesky factor."""
-    if m < 1:
-        raise ValueError("ensemble size must be >= 1")
-    rng = RngStream(seed, stream)
-    lt = ctx.chol.T
-    out = np.empty((m, ctx.n))
-
-    def fill(c, lo, hi):
-        gen = rng.generator(c)
-        for b0, b1 in _row_blocks(lo, hi, 8 * ctx.n):
-            np.matmul(gen.standard_normal((b1 - b0, ctx.n)), lt, out=out[b0:b1])
-
-    _fill_chunks(m, workers, fill)
-    out.setflags(write=False)
-    return PathEnsemble(out, seed, "cholesky")
+    (paths,) = _sample_dense((ctx.chol,), m, seed, stream, workers)
+    return PathEnsemble(paths, seed, "cholesky")
 
 
 def _fgn_autocov(h: float, n: int) -> np.ndarray:

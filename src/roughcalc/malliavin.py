@@ -80,16 +80,11 @@ class VectorField:
     coeff_fn: Callable[[np.ndarray], np.ndarray]
     grad_dot: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
 
-    @property
-    def n_slots(self) -> int:
-        return int(self.directions.shape[0])
-
 
 @dataclass(frozen=True)
 class AffineField(VectorField):
-    """a_s(x) = const[s] + lin[s] . x, with the matrices kept for closed forms."""
+    """a_s(x) = const[s] + lin[s] . x, with ``lin`` kept for closed forms."""
 
-    const: np.ndarray = None
     lin: np.ndarray = None
 
 
@@ -150,7 +145,6 @@ def affine_field(
         directions=directions,
         coeff_fn=coeff_fn,
         grad_dot=grad_dot,
-        const=const,
         lin=lin,
     )
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .energy import GramContext
 from .functionals import CylindricalFunctional
-from .gaussian import RngStream, _fill_chunks
+from .gaussian import _row_blocks, _sample_dense
 from .malliavin import VectorField, clark_integrand, derivative_pairing, divergence
 from .models import CovarianceModel, TimeGrid
 
@@ -60,10 +60,6 @@ class MixedContext:
             ctx_x=GramContext.build(CovarianceModel(alpha, beta, hurst), grid),
         )
 
-    @property
-    def n(self) -> int:
-        return self.ctx_x.n
-
 
 @dataclass(frozen=True)
 class MixedEnsemble:
@@ -81,27 +77,14 @@ def sample_mixed(
 ) -> MixedEnsemble:
     """Joint draw of (B, B^H, X) with the B block reading the leading normals
     of each chunk, so beta = 0 reproduces the pure Brownian ensemble bit for
-    bit at matching (seed, stream)."""
-    if m < 1:
-        raise ValueError("ensemble size must be >= 1")
-    n = mctx.n
-    rng = RngStream(seed, stream)
-    lb = mctx.ctx_b.chol.T
-    lh = mctx.ctx_h.chol.T
-    paths_b = np.empty((m, n))
-    paths_h = np.empty((m, n))
-
-    def fill(c, lo, hi):
-        gen = rng.generator(c)
-        zb = gen.standard_normal((hi - lo, n))
-        zh = gen.standard_normal((hi - lo, n))
-        paths_b[lo:hi] = zb @ lb
-        paths_h[lo:hi] = zh @ lh
-
-    _fill_chunks(m, workers, fill)
-    paths_x = mctx.alpha * paths_b + mctx.beta * paths_h
-    for arr in (paths_b, paths_h, paths_x):
-        arr.setflags(write=False)
+    bit at matching (seed, stream).  X is formed a row block at a time, so
+    the working memory beyond the three outputs is bounded in bytes."""
+    paths_b, paths_h = _sample_dense((mctx.ctx_b.chol, mctx.ctx_h.chol), m, seed,
+                                     stream, workers)
+    paths_x = np.empty_like(paths_b)
+    for b0, b1 in _row_blocks(0, m, 8 * mctx.ctx_x.n):
+        paths_x[b0:b1] = mctx.alpha * paths_b[b0:b1] + mctx.beta * paths_h[b0:b1]
+    paths_x.setflags(write=False)
     return MixedEnsemble(paths_b, paths_h, paths_x)
 
 

@@ -7,11 +7,12 @@ import filecmp
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
-from roughcalc import cli
+from roughcalc import cli, experiments
 from roughcalc.config import DEFAULTS
 from roughcalc.errors import IllConditionedModelError
 
@@ -191,11 +192,18 @@ def test_verify_all_small_scale(tmp_path, capsys) -> None:
         "verify-all", "--paths", "2000", "--out-dir", str(tmp_path),
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "increment_identity" in out
-    assert "degeneration_alpha0" in out
+    captured = capsys.readouterr()
+    assert "increment_identity" in captured.out
+    assert "degeneration_alpha0" in captured.out
     summaries = [p for p in tmp_path.iterdir() if "verify" in p.name]
     assert summaries
+    # one wall-time line per suite check, in suite order, on stderr only
+    timed = [line for line in captured.err.splitlines() if line.startswith("  ")]
+    assert [line.split(":")[0].strip() for line in timed] == list(experiments._SUITE)
+    assert len(timed) == 16
+    timing = r"  \w+: \d+\.\d\ds"
+    assert all(re.fullmatch(timing, line) for line in timed)
+    assert not re.search(f"^{timing}$", captured.out, re.M)
 
 
 def test_config_file_flow(tmp_path) -> None:
@@ -208,13 +216,47 @@ def test_config_file_flow(tmp_path) -> None:
     assert any("0.4" in p.name for p in tmp_path.iterdir())
 
 
+def _load_tool(name: str):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_report_digest_configs_parse() -> None:
-    path = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
-    spec = importlib.util.spec_from_file_location("report_digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _load_tool("report_digest")
     parser = cli.build_parser()
     for argv in digest.CONFIGS:
         args = parser.parse_args([*argv, "--out-dir", "unused"])
         assert args.command == argv[0]
         cli._collect_config(args)  # every key and value is valid
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+
+over three lines."""
+
+# a comment
+import os  # trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    text = """two
+    lines"""
+    return (x,
+            text)
+
+class C:
+    'Class docstring.'
+    y = 1
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys) -> None:
+    tool = _load_tool("code_lines")
+    (tmp_path / "mod.py").write_text(CODE_LINES_SAMPLE)
+    for arg in (tmp_path / "mod.py", tmp_path):
+        assert tool.main([str(arg)]) == 0
+        assert capsys.readouterr().out == "8\n"

@@ -197,9 +197,19 @@ def test_simulate_summary_records_min_eigenvalue_ratio(monkeypatch) -> None:
 
 
 def test_simulate_mixed_model() -> None:
+    # a mixture goes through the dense sampler and its gates like bm and fbm;
+    # the circulant sampler covers one-component models only
     rep = run_simulate(small(model="mixed", alpha=1.0, beta=1.0, grid_n=8,
                              paths=4_000))
     assert rep.passed
+    assert rep.summary["samplers"] == ["cholesky"]
+    assert rep.summary["circulant_min_eig_ratio"] is None
+    assert len(rep.results) == 1
+    assert rep.results[0]["max_increment_sigma"] <= 5.0
+    one = run_simulate(small(model="mixed", alpha=0.0, beta=1.0, grid_n=8,
+                             paths=4_000))
+    assert one.passed
+    assert one.summary["samplers"] == ["cholesky", "circulant"]
 
 
 def test_mixed_requires_mixed_model() -> None:
@@ -241,6 +251,23 @@ def test_verify_all_writes_and_passes(tmp_path) -> None:
         "degeneration_alpha0",
     ]
     assert len(reports) == len([c for c in checks if not c.startswith("degeneration")])
+
+
+def test_verify_all_summary_name_carries_mixed_weights(monkeypatch) -> None:
+    # every check replaced by a stub report, so that only the summary's
+    # own naming is exercised
+    def stub(cfg):
+        rep = experiments._report(cfg, "stub", cfg.grid_n)
+        rep.add(kind="clark_residual", residual=0.0, passed=True)
+        return rep
+
+    monkeypatch.setattr(experiments, "_SUITE", {
+        name: (stub, overrides)
+        for name, (_, overrides) in experiments._SUITE.items()})
+    names = {verify_all(small(model="mixed", alpha=alpha, beta=1.0))[1].basename()
+             for alpha in (0.7, 1.0)}
+    assert len(names) == 2
+    assert verify_all(small())[1].basename() == "verify_all_fbm_0.25_8_42"
 
 
 def test_statistical_experiments_reject_tiny_path_counts() -> None:

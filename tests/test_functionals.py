@@ -11,7 +11,8 @@ from roughcalc.energy import GramContext
 from roughcalc.functionals import (BasisMap, CylindricalFunctional,
                                    IntegralFunctional, catalog_names,
                                    discretize_integral_functional,
-                                   gradient_check, make_functional)
+                                   gradient_check, make_functional,
+                                   smooth_basis)
 from roughcalc.gaussian import expect_scalar
 from roughcalc.malliavin import conditional_value
 from roughcalc.models import CovarianceModel, TimeGrid
@@ -161,4 +162,5 @@ def test_closed_form_smoothing_matches_quadrature(name: str) -> None:
             assert isinstance(h, BasisMap)
             for sd in (0.0, 0.05, 0.5, 1.0):
                 want = expect_scalar(h, mu, sd)
-                assert np.max(np.abs(h.smoothed(mu, sd**2) - want)) <= 1e-12, name
+                got = smooth_basis(h.coeffs, mu, sd**2)
+                assert np.max(np.abs(got - want)) <= 1e-12, name

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from roughcalc.functionals import make_functional
-from roughcalc.gaussian import expect_scalar, sample_ensemble
+from roughcalc.gaussian import CHUNK_ROWS, expect_scalar, sample_ensemble
 from roughcalc.malliavin import clark_integrand, conditional_value, divergence
 from roughcalc.mixed import (MixedContext, mixed_clark_fields, mixed_divergence,
                              mixed_pairing, sample_mixed)
@@ -58,18 +59,47 @@ def test_beta_zero_gram_is_bitwise_brownian() -> None:
     assert np.array_equal(mctx.ctx_x.sigma, mctx.ctx_b.sigma)
 
 
+# (n, m) of one row block per chunk, and of several row blocks in each of
+# two chunks
+SIZES = [(8, 128), (512, CHUNK_ROWS + 2000)]
+
+
 def test_combined_paths_are_weighted_component_sums() -> None:
-    mctx = make_mctx(alpha=0.8, beta=1.1)
-    ens = sample_mixed(mctx, 64, seed=5)
-    want = 0.8 * ens.paths_b + 1.1 * ens.paths_h
-    assert np.max(np.abs(ens.paths_x - want)) <= 1e-15
+    for n, m in SIZES:
+        mctx = make_mctx(alpha=0.8, beta=1.1, n=n)
+        ens = sample_mixed(mctx, m, seed=5)
+        assert np.array_equal(ens.paths_x, 0.8 * ens.paths_b + 1.1 * ens.paths_h)
 
 
 def test_beta_zero_paths_match_pure_brownian_bitwise() -> None:
-    mctx = make_mctx(alpha=1.0, beta=0.0)
-    ens = sample_mixed(mctx, 128, seed=42)
-    pure = sample_ensemble(mctx.ctx_b, 128, seed=42)
-    assert np.array_equal(ens.paths_x, pure.paths)
+    for n, m in SIZES:
+        mctx = make_mctx(alpha=1.0, beta=0.0, n=n)
+        ens = sample_mixed(mctx, m, seed=42)
+        pure = sample_ensemble(mctx.ctx_b, m, seed=42)
+        assert np.array_equal(ens.paths_x, pure.paths)
+
+
+def test_mixed_paths_bit_identical_across_workers() -> None:
+    mctx = make_mctx(alpha=0.7, beta=1.2, n=512)
+    one = sample_mixed(mctx, CHUNK_ROWS + 2000, 5, 0, 1)
+    two = sample_mixed(mctx, CHUNK_ROWS + 2000, 5, 0, 2)
+    for name in ("paths_b", "paths_h", "paths_x"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+
+def test_mixed_sampler_working_memory_is_bounded_in_bytes() -> None:
+    # beyond its three 72 MiB outputs, the sampler holds a few row blocks
+    # per worker
+    mctx = make_mctx(n=512)
+    tracemalloc.start()
+    try:
+        ens = sample_mixed(mctx, CHUNK_ROWS + 2000, 5, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = ens.paths_b.nbytes + ens.paths_h.nbytes + ens.paths_x.nbytes
+    assert outputs == 3 * 8 * 512 * (CHUNK_ROWS + 2000)
+    assert peak - outputs <= 96 << 20
 
 
 def test_componentwise_adjointness_small_scale() -> None:
@@ -97,7 +127,7 @@ def test_component_clark_correction_matches_per_slot_formula() -> None:
         fb, fh = mixed_clark_fields(mctx, fn)
         for field, ctx in ((fb, mctx.ctx_b), (fh, mctx.ctx_h)):
             for v in (field.directions @ ctx.sigma,
-                      rng.normal(size=(mctx.n, mctx.n))):
+                      rng.normal(size=(mctx.ctx_x.n, mctx.ctx_x.n))):
                 got = field.grad_dot(ens.paths_x, v)
                 want = per_slot_grad_dot(mctx.ctx_x, fn, ens.paths_x, v)
                 assert np.max(np.abs(want)) > 1e-3

@@ -44,6 +44,8 @@ CONFIGS = (
     ("simulate", "--set", "times=0.1,0.25,0.5,0.9"),
     ("mixed", "--set", "alpha=0.7", "--set", "beta=1.2"),
     ("mixed", "--set", "beta=0", "--set", "functional=linear", "--grid-n", "16"),
+    # several row blocks per sampler chunk
+    ("mixed", "--grid-n", "128"),
 )
 
 
