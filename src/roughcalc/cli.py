@@ -10,7 +10,7 @@ Exit codes:
     0  every asserted check passed
     1  usage or configuration error
     2  numerical environment error (ill-conditioned model beyond the
-       jitter ladder, unwritable output path)
+       jitter ladder, unwritable output path, out of memory)
     3  at least one asserted check failed
 """
 
@@ -179,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"roughcalc: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"roughcalc: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

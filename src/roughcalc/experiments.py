@@ -164,8 +164,8 @@ def _duality_rows(report: ExperimentReport, grid, paths: np.ndarray, fields,
     E[<DF, u>] at 3 combined SE; returns the worst sigma.
 
     ``delta_of(u)`` and ``pairing_of(fn, u)`` give the per-path divergence
-    and pairing.  Rows with a ``kind`` (the mixed report) lead with it and
-    carry no paired SE.
+    and pairing.  Every row carries the paired SE of the per-path gap; rows
+    with a ``kind`` (the mixed report) lead with it.
     """
     deltas = [(name, u, delta_of(u)) for name, u in fields]
     worst = 0.0
@@ -180,9 +180,8 @@ def _duality_rows(report: ExperimentReport, grid, paths: np.ndarray, fields,
             gap = lhs_mean - rhs_mean
             row = {} if kind is None else {"kind": kind}
             row.update(functional=name, field=field_name, lhs_mean=lhs_mean,
-                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap)
-            if kind is None:
-                row["gap_se"] = _mean_se(lhs - rhs)[1]
+                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap,
+                       gap_se=_mean_se(lhs - rhs)[1])
             se_combined = math.hypot(lhs_se, rhs_se)
             sigma = _sigma_units(gap, se_combined)
             worst = max(worst, sigma)
@@ -486,20 +485,9 @@ def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
     report = _report(cfg, "isometry", n)
     fields = dict(_test_fields(ctx))
 
-    # deterministic u = k_T: delta = X_T, E[delta^2] = ||u||^2 exactly.
-    delta = divergence(ctx, fields["deterministic"], ens.paths)
-    e_d2, se_d2 = _mean_se(delta**2)
-    report.add(
-        field="deterministic",
-        e_delta_sq=e_d2,
-        se_delta_sq=se_d2,
-        e_norm_sq=sigma_tt,
-        se_norm_sq=0.0,
-        defect_measured=e_d2 - sigma_tt,
-        defect_closed=0.0,
-        se_combined=se_d2,
-        passed=bool(_sigma_units(e_d2 - sigma_tt, se_d2) <= 3.0),
-    )
+    # deterministic u = k_T: delta = X_T, ||u||^2 = Sigma_TT, defect 0.
+    _, moments, defect_ok = _affine_moments(ctx, fields["deterministic"], ens.paths)
+    report.add(field="deterministic", **moments, passed=bool(defect_ok))
 
     # u = X_T k_T: delta = X_T^2 - Sigma_TT per path, defect = Sigma_TT^2.
     term = np.zeros((1, n))

@@ -8,8 +8,8 @@ a_s (a function of the path) and a fixed direction d_s; its divergence is
 
 the Gaussian integration-by-parts adjoint of D: E[F delta(u)] = E<DF, u>
 holds exactly in expectation for any smooth coefficients, adapted or not.
-The correction term needs coefficient gradients; fields without gradient
-rules must have constant coefficients.
+The correction term needs coefficient gradients, so every field carries a
+gradient rule; a deterministic field is the affine one with zero linear part.
 
 The discrete Clark integrand assigns slot s (covering (t_{s-1}, t_s], with
 t_{-1} = 0) the coefficient
@@ -69,11 +69,10 @@ __all__ = [
 class VectorField:
     """Slot directions plus coefficient rules evaluated on path batches.
 
-    ``coeff_fn`` maps an (m, N) path matrix to (m, n_slots) coefficients
-    (or returns a constant (n_slots,) vector).  ``grad_dot(paths, V)``
-    returns sum_k (d a_s / d x_k) V[s, k] per slot, the contraction the
-    divergence correction needs; None is only legal for constant
-    coefficients.
+    ``coeff_fn`` maps an (m, N) path matrix to (m, n_slots) coefficients.
+    ``grad_dot(paths, V)`` returns sum_k (d a_s / d x_k) V[s, k] per slot,
+    the contraction the divergence correction needs; ``divergence`` raises
+    MissingGradientError for a field without it.
     """
 
     directions: np.ndarray
@@ -111,16 +110,11 @@ def increment_directions(ctx: GramContext) -> np.ndarray:
     return w
 
 
-def deterministic_field(directions: np.ndarray, weights: np.ndarray) -> VectorField:
+def deterministic_field(directions: np.ndarray, weights: np.ndarray) -> AffineField:
+    """Field with constant coefficients a_s = weights[s]: the affine field
+    with zero linear part, so delta(u) = I(sum_s weights[s] d_s)."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (directions.shape[0],):
-        raise ValueError("need one weight per direction row")
-    return VectorField(
-        directions=directions,
-        coeff_fn=lambda paths: weights,
-        grad_dot=None,
-    )
+    return affine_field(directions, weights, np.zeros(directions.shape))
 
 
 def affine_field(
@@ -168,25 +162,20 @@ def divergence(
     component field of a mixture reads the mixture while its directions live
     in the component whose ``ctx`` and ``paths`` are passed; ``chain`` is
     d(mixture)/d(component), the chain-rule factor of the correction term.
-    A field without ``grad_dot`` has no correction term, so its coefficients
-    must be constant: one row per path raises MissingGradientError.
+    A field without ``grad_dot`` raises MissingGradientError.
     """
+    if field.grad_dot is None:
+        raise MissingGradientError(
+            "the divergence correction term needs the field's gradient rule"
+        )
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     if coeff_paths is None:
         coeff_paths = paths
     incr = paths @ field.directions.T
     a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
-    out = (a * incr).sum(axis=-1)
-    if field.grad_dot is not None:
-        v = field.directions @ ctx.sigma
-        corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
-        out = out - chain * (corr.sum() if corr.ndim == 1 else corr.sum(axis=-1))
-    elif a.ndim > 1:
-        raise MissingGradientError(
-            "state-dependent coefficients need gradient rules for the "
-            "divergence correction term"
-        )
-    return out
+    v = field.directions @ ctx.sigma
+    corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
+    return (a * incr).sum(axis=-1) - chain * corr.sum(axis=-1)
 
 
 def derivative_pairing(
@@ -196,16 +185,12 @@ def derivative_pairing(
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     grads = fn.gradient(paths)
     v = field_coefficients(field, paths)
-    pairing = v @ ctx.sigma[:, list(fn.indices)]
-    if pairing.ndim == 1:
-        pairing = np.broadcast_to(pairing, grads.shape)
-    return (grads * pairing).sum(axis=-1)
+    return (grads * (v @ ctx.sigma[:, list(fn.indices)])).sum(axis=-1)
 
 
 def field_norm_sq(ctx: GramContext, field: VectorField, paths: np.ndarray) -> np.ndarray:
     """||u||^2 per path."""
     v = field_coefficients(field, np.atleast_2d(np.asarray(paths, dtype=float)))
-    v = np.atleast_2d(v)
     return ((v @ ctx.sigma) * v).sum(axis=-1)
 
 

@@ -173,6 +173,18 @@ def test_unwritable_output_exits_two(tmp_path) -> None:
     assert rc == 2
 
 
+def test_out_of_memory_exits_two_with_one_line(tmp_path, capsys) -> None:
+    # a 10^13 x 64 ensemble is 4.55 PiB: the allocation fails at once
+    rc = run_cli("simulate", "--paths", "10000000000000", "--grid-n", "64",
+                 "--out-dir", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("roughcalc: out of memory: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_repeat_runs_byte_identical(tmp_path) -> None:
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d, workers in ((d1, "1"), (d2, "3")):

@@ -117,6 +117,12 @@ def test_isometry_defect_small() -> None:
     assert fields == ["deterministic", "terminal_linear", "adapted_affine"]
     terminal = rep.results[1]
     assert terminal["pathwise_gap"] <= 1e-12
+    # the deterministic row is affine too: closed-form defect 0 and, on the
+    # unit horizon, ||k_T||^2 = Sigma_TT = 1 on every path
+    deterministic = rep.results[0]
+    assert deterministic["defect_closed"] == 0.0
+    assert deterministic["e_norm_sq"] == 1.0
+    assert deterministic["se_norm_sq"] == 0.0
 
 
 def test_simulate_uniform_runs_both_samplers(tmp_path) -> None:
@@ -223,6 +229,19 @@ def test_mixed_small() -> None:
     kinds = {row.get("kind") for row in rep.results}
     assert kinds == {"adjointness", "clark_residual"}
     assert rep.summary["failures"] == 0
+
+
+def test_mixed_gap_se_at_beta_zero_matches_brownian_run() -> None:
+    # beta = 0 runs the Brownian pipeline literally, so the paired SE of
+    # every mixed adjointness row is the pure Brownian row's, bit for bit
+    pure = run_adjointness(small(model="bm", paths=4_000))
+    mixed = run_mixed(small(model="mixed", alpha=1.0, beta=0.0, paths=4_000))
+    ref = {(r["functional"], r["field"]): r["gap_se"] for r in pure.results}
+    rows = [r for r in mixed.results if r["kind"] == "adjointness"]
+    assert len(rows) == len(ref)
+    for row in rows:
+        assert next(iter(row)) == "kind"
+        assert row["gap_se"] == ref[(row["functional"], row["field"])]
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (0.7, 1.2)],

@@ -25,7 +25,8 @@ from roughcalc.functionals import (CylindricalFunctional, IntegralFunctional,
                                    discretize_integral_functional,
                                    make_functional)
 from roughcalc.gaussian import regression_coefficients, sample_ensemble
-from roughcalc.malliavin import (VectorField, affine_field, clark_integrand,
+from roughcalc.malliavin import (AffineField, VectorField, affine_field,
+                                 clark_integrand,
                                  conditional_gradient, conditional_value,
                                  derivative,
                                  derivative_pairing, deterministic_field,
@@ -86,11 +87,23 @@ def test_derivative_requires_gradient() -> None:
 
 
 def test_divergence_of_state_dependent_field_requires_gradient() -> None:
+    # constant coefficients get no exemption: every field needs grad_dot
     ctx = make_ctx()
-    u = VectorField(directions=np.eye(ctx.n), coeff_fn=lambda paths: paths,
-                    grad_dot=None)
-    with pytest.raises(MissingGradientError):
-        divergence(ctx, u, np.zeros((3, ctx.n)))
+    for coeff_fn in (lambda paths: paths, lambda paths: np.ones(ctx.n)):
+        u = VectorField(directions=np.eye(ctx.n), coeff_fn=coeff_fn,
+                        grad_dot=None)
+        with pytest.raises(MissingGradientError):
+            divergence(ctx, u, np.zeros((3, ctx.n)))
+
+
+def test_deterministic_field_is_affine_with_zero_defect() -> None:
+    ctx = make_ctx(h=0.4, n=10)
+    u = deterministic_field(np.eye(ctx.n), np.arange(1.0, ctx.n + 1))
+    assert isinstance(u, AffineField)
+    assert np.all(u.lin == 0.0)
+    assert isometry_defect_affine(ctx, u) == 0.0
+    with pytest.raises(ValueError, match="const must be"):
+        deterministic_field(np.eye(ctx.n), np.ones(ctx.n - 1))
 
 
 def test_divergence_of_deterministic_field_is_isonormal() -> None:
@@ -290,6 +303,7 @@ def test_field_norm_of_deterministic_element() -> None:
     u = deterministic_field(np.eye(ctx.n), w)
     paths = sample_ensemble(ctx, 7, seed=13).paths
     got = field_norm_sq(ctx, u, paths)
+    assert got.shape == (7,)
     assert np.max(np.abs(got - norm(ctx, w) ** 2)) <= 1e-12
     coeffs = field_coefficients(u, paths)
     assert np.max(np.abs(coeffs - w)) <= 1e-15

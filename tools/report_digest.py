@@ -40,6 +40,9 @@ CONFIGS = (
     ("factorize", "--set", "functional=integral_sin"),
     ("factorize", "--set", "model=bm", "--set", "functional=linear"),
     ("gubinelli", "--set", "model=bm", "--set", "functional=linear"),
+    # the deterministic isometry row's ||u||^2 is a sample mean off the
+    # unit horizon
+    ("isometry", "--set", "horizon=2.5"),
     ("simulate", "--set", "model=mixed"),
     ("simulate", "--set", "times=0.1,0.25,0.5,0.9"),
     ("mixed", "--set", "alpha=0.7", "--set", "beta=1.2"),
