@@ -27,4 +27,4 @@ class UnsupportedDimensionError(RoughCalcError):
 
 
 class MissingGradientError(RoughCalcError):
-    """Divergence of a state-dependent field requires gradient rules."""
+    """A functional or vector field lacks the gradient rule an operator needs."""

@@ -92,10 +92,6 @@ def derivative(ctx: GramContext, fn: CylindricalFunctional, x: np.ndarray) -> np
 
     Linear in f by construction: gradients add componentwise.
     """
-    if fn.grad is None:
-        raise MissingGradientError(
-            f"functional {fn.name!r} carries no gradient rule"
-        )
     x = np.asarray(x, dtype=float)
     grads = fn.gradient(x)
     out = np.zeros(x.shape[:-1] + (ctx.n,))
@@ -247,7 +243,7 @@ def conditional_gradient(
             for i in range(fn.k):
                 out[r, i] = conditional_expectation(
                     ctx,
-                    lambda xs, i=i: fn.grad(xs)[..., i],
+                    lambda xs, i=i: fn.grad_at(xs)[..., i],
                     idx,
                     j,
                     row[:j],

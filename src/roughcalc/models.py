@@ -108,7 +108,7 @@ def increment_variance(model: CovarianceModel, s: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times 0 < t_1 < ... < t_N <= horizon.
+    """Strictly increasing finite times 0 < t_1 < ... < t_N <= horizon < inf.
 
     Time 0 is deliberately excluded: its representer is degenerate (the
     process is pinned there).  ``uniform`` is detected, not declared, and
@@ -120,14 +120,18 @@ class TimeGrid:
     uniform: bool = field(init=False)
 
     def __post_init__(self):
+        horizon = float(self.horizon)
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("grid must be a nonempty 1-d array of times")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("grid times must be finite")
         if times[0] <= 0.0:
             raise ValueError("grid times must be strictly positive (0 is excluded)")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        horizon = float(self.horizon)
         if times[-1] > horizon:
             raise ValueError("grid times must not exceed the horizon")
         times = times.copy()

@@ -1,14 +1,16 @@
 """Deterministic report serialization.
 
 Reports are written as JSON (full structure) and CSV (result rows only).
-Floats are rendered with 17 significant digits so that a rerun with the
-same seed produces byte-identical files.  Wall-clock timings never enter
-a report; they go to stderr.
+The JSON is the standard library's ``json.dumps`` with sorted keys and a
+two-space indent; floats in both formats are Python's ``repr``, the
+shortest text that reads back to the same double, so a rerun with the
+same seed produces byte-identical files.  Non-finite floats are written
+as the strings ``"nan"``, ``"inf"`` and ``"-inf"``, never as bare JSON
+``NaN``.  Wall-clock timings never enter a report; they go to stderr.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -18,79 +20,31 @@ import numpy as np
 
 SPEC_VERSION = "1.0"
 
-__all__ = ["ExperimentReport", "format_float", "render_json", "render_csv",
+__all__ = ["ExperimentReport", "render_json", "render_csv",
            "report_basename", "write_report", "SPEC_VERSION"]
 
 
-def format_float(x: float) -> str:
-    """17 significant digits; round-trips every IEEE double."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def _normalize(obj):
-    """Recursively convert numpy scalars/arrays and tuples to plain types."""
+    """Plain JSON types: numpy scalars and arrays unwrapped, tuples as
+    lists, non-finite floats as the strings "nan", "inf" and "-inf"."""
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_normalize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return _normalize(obj.tolist())
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
-def _render(obj, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = sorted(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.write(pad + "  " + json.dumps(k) + ": ")
-            _render(v, out, indent + 1)
-            out.write(",\n" if i < len(items) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, v in enumerate(obj):
-            out.write(pad + "  ")
-            _render(v, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            out.write(json.dumps(format_float(obj)))
-        else:
-            out.write(format_float(obj))
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    else:
-        out.write(json.dumps(obj))
-
-
 def render_json(payload: dict) -> str:
-    buf = io.StringIO()
-    _render(_normalize(payload), buf, 0)
-    buf.write("\n")
-    return buf.getvalue()
+    return json.dumps(_normalize(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def render_csv(rows: list[dict]) -> str:
@@ -111,8 +65,8 @@ def render_csv(rows: list[dict]) -> str:
                 cells.append("")
             elif isinstance(v, bool):
                 cells.append("true" if v else "false")
-            elif isinstance(v, float) or isinstance(v, np.floating):
-                cells.append(format_float(float(v)))
+            elif isinstance(v, (float, np.floating)):
+                cells.append(repr(float(v)))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))

@@ -31,9 +31,15 @@ def test_simulate_exits_zero_and_writes_reports(tmp_path, capsys) -> None:
     assert "[PASS] simulate" in out
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["simulate_fbm_0.25_16_42.csv", "simulate_fbm_0.25_16_42.json"]
-    payload = json.loads((tmp_path / names[1]).read_text())
+    payload = json.loads((tmp_path / names[1]).read_text(),
+                         parse_constant=_reject_constant)
     assert payload["passed"] is True
     assert payload["config"]["grid_n"] == 16
+
+
+def _reject_constant(name: str):
+    # strict JSON: a report never holds a bare NaN, Infinity or -Infinity
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def test_simulate_export_writes_ensemble(tmp_path) -> None:

@@ -82,8 +82,15 @@ def test_derivative_requires_gradient() -> None:
         name="opaque", indices=(0,), f=lambda x: x[..., 0], grad=None
     )
     ctx = make_ctx()
+    paths = np.zeros((2, ctx.n))
+    u = deterministic_field(np.eye(ctx.n), np.ones(ctx.n))
     with pytest.raises(MissingGradientError):
         derivative(ctx, fn, np.zeros((1, ctx.n)))
+    with pytest.raises(MissingGradientError):
+        derivative_pairing(ctx, fn, u, paths)
+    # the coupled (non-diagonal) branch of the conditional gradient
+    with pytest.raises(MissingGradientError):
+        conditional_gradient(ctx, fn, 3, paths)
 
 
 def test_divergence_of_state_dependent_field_requires_gradient() -> None:

@@ -137,6 +137,14 @@ def test_grid_rejects_zero_and_disorder() -> None:
         TimeGrid(np.array([0.5, 0.25]), horizon=1.0)
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.5, 1.5]), horizon=1.0)
+    # non-finite times and horizons, and horizons that are not positive
+    for times, horizon in (([0.5, np.nan], 1.0), ([np.nan, 0.5], 1.0),
+                           ([0.5, np.inf], np.inf), ([0.5], np.nan),
+                           ([0.5], 0.0), ([0.5], -1.0)):
+        with pytest.raises(ValueError):
+            TimeGrid(np.array(times), horizon=horizon)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        TimeGrid.uniform_grid(4, float("inf"))
 
 
 def test_uniform_grid_detection() -> None:

@@ -1,4 +1,4 @@
-"""Report rendering: float wire format, deterministic JSON/CSV bytes."""
+"""Report rendering: shortest round-trip floats, deterministic JSON/CSV bytes."""
 
 from __future__ import annotations
 
@@ -6,26 +6,104 @@ import dataclasses
 import json
 import math
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from roughcalc import reporting
 from roughcalc.config import DEFAULTS
-from roughcalc.reporting import (ExperimentReport, format_float, render_csv,
-                                 render_json, report_basename, write_report)
+from roughcalc.reporting import (ExperimentReport, render_csv, render_json,
+                                 report_basename, write_report)
 
 
-def test_format_float_17_digits() -> None:
-    assert format_float(1.0) == "1"
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(float("nan")) == "nan"
-    assert format_float(float("inf")) == "inf"
-    assert format_float(float("-inf")) == "-inf"
+def _csv_cell(value) -> str:
+    return render_csv([{"v": value}]).split("\n")[1]
+
+
+def _same_double(a: float, b: float) -> bool:
+    # == alone cannot tell -0.0 from 0.0
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308 / 3)
+@example(0.1)
 @settings(max_examples=300, deadline=None)
-def test_format_float_round_trips(x: float) -> None:
-    assert float(format_float(x)) == x
+def test_floats_round_trip_through_json_and_csv(x: float) -> None:
+    text = render_json({"v": x, "w": [x]})
+    parsed = json.loads(text)
+    assert _same_double(parsed["v"], x)
+    assert _same_double(parsed["w"][0], x)
+    cell = _csv_cell(x)
+    assert cell == repr(x)
+    assert _same_double(float(cell), x)
+
+
+def test_floats_print_in_shortest_form() -> None:
+    assert render_json({"v": 0.1}) == '{\n  "v": 0.1\n}\n'
+    assert render_json({"v": 1.0}) == '{\n  "v": 1.0\n}\n'
+    assert _csv_cell(0.1) == "0.1"
+    assert _csv_cell(1.0) == "1.0"
+
+
+def test_numpy_scalars_and_arrays() -> None:
+    f32 = np.float32(0.1)
+    parsed = json.loads(render_json({"a": f32, "b": np.float64(0.1),
+                                     "c": np.int64(3), "d": np.bool_(True)}))
+    assert parsed == {"a": float(f32), "b": 0.1, "c": 3, "d": True}
+    assert np.float32(parsed["a"]) == f32
+    assert _csv_cell(f32) == repr(float(f32))
+    assert _csv_cell(np.float64(0.1)) == "0.1"
+    # a 0-d array is its scalar, a 2-d array a list of rows
+    assert render_json({"a": np.array(0.25)}) == render_json({"a": 0.25})
+    grid = np.array([[0.1, -0.0], [np.inf, 2.0]])
+    assert render_json({"a": grid}) == render_json(
+        {"a": [[0.1, -0.0], ["inf", 2.0]]})
+    assert json.loads(render_json({"a": np.arange(6).reshape(2, 3)}))["a"] == [
+        [0, 1, 2], [3, 4, 5]]
+
+
+def test_render_json_exact_bytes() -> None:
+    payload = {
+        "b": [],
+        "a": {"z": 0.1, "y": (1, 2.5, None, True), "e": {}},
+        "s": 'q"\u00e9',
+        "n": float("nan"),
+        "t": [1.0, -0.0, 1e-300, 1e22],
+    }
+    assert render_json(payload) == (
+        '{\n'
+        '  "a": {\n'
+        '    "e": {},\n'
+        '    "y": [\n'
+        '      1,\n'
+        '      2.5,\n'
+        '      null,\n'
+        '      true\n'
+        '    ],\n'
+        '    "z": 0.1\n'
+        '  },\n'
+        '  "b": [],\n'
+        '  "n": "nan",\n'
+        '  "s": "q\\"\\u00e9",\n'
+        '  "t": [\n'
+        '    1.0,\n'
+        '    -0.0,\n'
+        '    1e-300,\n'
+        '    1e+22\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
+def test_bare_nan_is_refused(monkeypatch) -> None:
+    # without the string mapping, json.dumps must raise, not write NaN
+    monkeypatch.setattr(reporting, "_normalize", lambda obj: obj)
+    with pytest.raises(ValueError):
+        render_json({"a": float("nan")})
 
 
 def test_render_json_sorted_and_stable() -> None:
@@ -42,10 +120,14 @@ def test_render_json_sorted_and_stable() -> None:
 
 
 def test_render_json_nonfinite_as_strings() -> None:
-    text = render_json({"a": float("nan"), "b": float("inf")})
-    parsed = json.loads(text)
-    assert parsed["a"] == "nan"
-    assert parsed["b"] == "inf"
+    # CSV cells spell non-finite values the same way
+    values = {"a": float("nan"), "b": float("inf"), "c": float("-inf"),
+              "d": np.float32("nan"), "e": np.array([np.inf, -np.inf])}
+    parsed = json.loads(render_json(values))
+    assert parsed == {"a": "nan", "b": "inf", "c": "-inf", "d": "nan",
+                      "e": ["inf", "-inf"]}
+    assert render_csv([values]).split("\n")[1].split(",")[:4] == [
+        "nan", "inf", "-inf", "nan"]
 
 
 def test_render_csv_column_union_and_blanks() -> None:
@@ -53,7 +135,7 @@ def test_render_csv_column_union_and_blanks() -> None:
     text = render_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "x,y,z"
-    assert lines[1].startswith("1,")
+    assert lines[1].startswith("1.0,")
     assert lines[2].endswith(",txt")
     # row 2 has no y: empty cell between the commas
     assert lines[2].split(",")[1] == ""
