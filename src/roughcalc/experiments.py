@@ -32,7 +32,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import kolmogorov, ndtr
 
 from .config import ExperimentConfig, float_label
 from .energy import GramContext, increment_element, inner_product, project_adapted
@@ -41,12 +41,12 @@ from .functionals import CylindricalFunctional, catalog_names, make_functional
 from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, conditional_law,
                        regression_coefficients, sample_ensemble,
                        sample_ensemble_circulant, write_ensemble)
-from .malliavin import (VectorField, affine_field, clark_integrand,
+from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
                         conditional_gradient, conditional_value,
-                        deterministic_field, derivative_pairing, divergence,
+                        deterministic_field, divergence, field_coefficients,
                         field_norm_sq, increment_directions,
                         isometry_defect_affine)
-from .mixed import MixedContext, mixed_divergence, mixed_pairing, sample_mixed
+from .mixed import MixedContext, _mixed_pairings, mixed_divergence, sample_mixed
 from .models import CovarianceModel, increment_variance
 from .reporting import ExperimentReport
 
@@ -159,33 +159,41 @@ def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
 
 
 def _duality_rows(report: ExperimentReport, grid, paths: np.ndarray, fields,
-                  delta_of, pairing_of, kind: str | None = None) -> float:
+                  delta_of, pairings_of, kind: str | None = None) -> float:
     """One row per catalog functional x field: E[F delta(u)] against
     E[<DF, u>] at 3 combined SE; returns the worst sigma.
 
-    ``delta_of(u)`` and ``pairing_of(fn, u)`` give the per-path divergence
-    and pairing.  Every row carries the paired SE of the per-path gap; rows
-    with a ``kind`` (the mixed report) lead with it.
+    ``delta_of(u)`` gives the per-path divergence and ``pairings_of(u, fns,
+    grads)`` the per-path pairing of u with each functional, from the
+    functionals' gradients.  Each gradient is computed once and each
+    field's coefficient table once, one field at a time; rows are added
+    functional by functional.  Every row carries the paired SE of the
+    per-path gap; rows with a ``kind`` (the mixed report) lead with it.
     """
-    deltas = [(name, u, delta_of(u)) for name, u in fields]
+    fns = [make_functional(name, grid) for name in catalog_names()]
+    values = [fn.values(paths) for fn in fns]
+    deltas = [delta_of(u) for _, u in fields]
+    grads = [fn.gradient(paths) for fn in fns]
+    rows = [[] for _ in fns]
     worst = 0.0
-    for name in catalog_names():
-        fn = make_functional(name, grid)
-        values = fn.values(paths)
-        for field_name, u, delta in deltas:
-            lhs = values * delta
-            rhs = pairing_of(fn, u)
+    for (field_name, u), delta in zip(fields, deltas):
+        for fn, value, rhs, fn_rows in zip(fns, values, pairings_of(u, fns, grads),
+                                           rows):
+            lhs = value * delta
             lhs_mean, lhs_se = _mean_se(lhs)
             rhs_mean, rhs_se = _mean_se(rhs)
             gap = lhs_mean - rhs_mean
-            row = {} if kind is None else {"kind": kind}
-            row.update(functional=name, field=field_name, lhs_mean=lhs_mean,
-                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap,
-                       gap_se=_mean_se(lhs - rhs)[1])
             se_combined = math.hypot(lhs_se, rhs_se)
             sigma = _sigma_units(gap, se_combined)
             worst = max(worst, sigma)
-            report.add(**row, se_combined=se_combined, passed=bool(sigma <= 3.0))
+            row = {} if kind is None else {"kind": kind}
+            row.update(functional=fn.name, field=field_name, lhs_mean=lhs_mean,
+                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap,
+                       gap_se=_mean_se(lhs - rhs)[1], se_combined=se_combined,
+                       passed=bool(sigma <= 3.0))
+            fn_rows.append(row)
+    for row in (row for fn_rows in rows for row in fn_rows):
+        report.add(**row)
     return worst
 
 
@@ -244,7 +252,8 @@ def run_adjointness(cfg: ExperimentConfig) -> ExperimentReport:
     report = _report(cfg, "adjointness", ctx.n)
     worst = _duality_rows(report, ctx.grid, ens.paths, _test_fields(ctx),
                           lambda u: divergence(ctx, u, ens.paths),
-                          lambda fn, u: derivative_pairing(ctx, fn, u, ens.paths))
+                          lambda u, fns, grads: _pairings(
+                              ctx, fns, grads, field_coefficients(u, ens.paths)))
     return _summarize(report, rows=len(report.results), max_sigma=worst,
                       jitter=ctx.jitter)
 
@@ -618,13 +627,28 @@ def _increment_stats(paths: np.ndarray) -> tuple[np.ndarray, float]:
     return variances, cov / denom if denom > 0.0 else float("nan")
 
 
+def _ks_normal(sample: np.ndarray, sd: float) -> tuple[float, float]:
+    """Kolmogorov-Smirnov statistic of ``sample`` against N(0, sd^2) and its
+    asymptotic (Kolmogorov distribution) p-value.
+
+    D = max(max(i/N - cdf), max(cdf - (i-1)/N)) over the sorted sample: the
+    statistic of ``scipy.stats.kstest`` bit for bit, without importing
+    scipy.stats, which costs most of a second on every start.
+    """
+    cdf = ndtr(np.sort(sample) / sd)
+    n = cdf.size
+    d = max(float((np.arange(1.0, n + 1) / n - cdf).max()),
+            float((cdf - np.arange(0.0, n) / n).max()))
+    return d, float(np.clip(kolmogorov(math.sqrt(n) * d), 0.0, 1.0))
+
+
 def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
     model, grid, paths = ctx.model, ctx.grid, ens.paths
     m = paths.shape[0]
     terminal = paths[:, -1]
     var_term, se_var = _var_se(terminal)
     theory_var = float(increment_variance(model, 0.0, float(grid.times[-1])))
-    ks = _scipy_stats.kstest(terminal, "norm", args=(0.0, math.sqrt(theory_var)))
+    ks_stat, ks_pvalue = _ks_normal(terminal, math.sqrt(theory_var))
     variances, lag1 = _increment_stats(paths)
     t_lo = np.concatenate(([0.0], grid.times[:-1]))
     se_factor = math.sqrt(2.0 / (m - 1))
@@ -641,8 +665,8 @@ def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
         "terminal_var": var_term,
         "terminal_var_se": se_var,
         "terminal_var_model": theory_var,
-        "ks_stat": float(ks.statistic),
-        "ks_pvalue": float(ks.pvalue),
+        "ks_stat": ks_stat,
+        "ks_pvalue": ks_pvalue,
         "max_increment_sigma": worst,
         "lag1_increment_corr": lag1,
     }
@@ -657,11 +681,12 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     uniform grids a one-component model (one weight zero) is also drawn by
     the circulant sampler, and the two terminal variances must agree within
     5 joint SE.  A Kolmogorov-Smirnov test of the terminal marginal is
-    recorded per sampler but not gated: at the 1% level it trips by chance
-    on about one run in fifty, which would make a deterministic pipeline
-    flaky.  The gates are statistical, so fewer than MIN_STATISTICAL_PATHS
-    paths are a config error.  The summary records the circulant
-    embedding's min/max eigenvalue ratio (None without a circulant run).
+    recorded per sampler, with the asymptotic (Kolmogorov distribution)
+    p-value, but not gated: at the 1% level it trips by chance on about one
+    run in fifty, which would make a deterministic pipeline flaky.  The
+    gates are statistical, so fewer than MIN_STATISTICAL_PATHS paths are a
+    config error.  The summary records the circulant embedding's min/max
+    eigenvalue ratio (None without a circulant run).
     The optional export writes the dense ensemble in the binary format.
     """
     cfg.require_statistical()
@@ -732,7 +757,8 @@ def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
     report = _report(cfg, "mixed", grid.n)
     worst = _duality_rows(report, grid, ens.paths_x, _mixed_fields(mctx),
                           lambda u: mixed_divergence(mctx, *u, ens),
-                          lambda fn, u: mixed_pairing(mctx, fn, *u, ens),
+                          lambda u, fns, grads: _mixed_pairings(
+                              mctx, fns, grads, *u, ens.paths_x),
                           kind="adjointness")
     # The Clark pair of the components sums to the Clark field of X itself
     # (see mixed_clark_fields), so the residual is taken in the X geometry;

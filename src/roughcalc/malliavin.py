@@ -174,14 +174,27 @@ def divergence(
     return (a * incr).sum(axis=-1) - chain * corr.sum(axis=-1)
 
 
+def _pairings(ctx: GramContext, fns, grads, v: np.ndarray) -> list[np.ndarray]:
+    """<DF, u> per path for each F in ``fns``, from its gradient
+    ``fn.gradient(paths)`` in ``grads`` and u's coefficient table
+    ``v = field_coefficients(field, paths)``, so that a caller pairing many
+    functionals with many fields computes each gradient and each table once.
+    """
+    out = []
+    for fn, g in zip(fns, grads):
+        vs = v @ ctx.sigma[:, list(fn.indices)]
+        vs *= g
+        out.append(vs.sum(axis=-1))
+        del vs  # before the next functional's product is made
+    return out
+
+
 def derivative_pairing(
     ctx: GramContext, fn: CylindricalFunctional, field: VectorField, paths: np.ndarray
 ) -> np.ndarray:
     """<DF, u> per path (the right-hand side of the adjointness identity)."""
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
-    grads = fn.gradient(paths)
-    v = field_coefficients(field, paths)
-    return (grads * (v @ ctx.sigma[:, list(fn.indices)])).sum(axis=-1)
+    return _pairings(ctx, [fn], [fn.gradient(paths)], field_coefficients(field, paths))[0]
 
 
 def field_norm_sq(ctx: GramContext, field: VectorField, paths: np.ndarray) -> np.ndarray:

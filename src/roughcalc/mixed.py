@@ -33,7 +33,8 @@ import numpy as np
 from .energy import GramContext
 from .functionals import CylindricalFunctional
 from .gaussian import _row_blocks, _sample_dense
-from .malliavin import VectorField, clark_integrand, derivative_pairing, divergence
+from .malliavin import (VectorField, _pairings, clark_integrand, divergence,
+                        field_coefficients)
 from .models import CovarianceModel, TimeGrid
 
 __all__ = ["MixedContext", "MixedEnsemble", "mixed_divergence", "mixed_pairing",
@@ -105,6 +106,20 @@ def mixed_divergence(
     return out
 
 
+def _mixed_pairings(mctx: MixedContext, fns, grads, field_b: VectorField | None,
+                    field_h: VectorField | None, paths_x: np.ndarray) -> list[np.ndarray]:
+    """`mixed_pairing` of each F in ``fns`` from its gradient
+    ``fn.gradient(paths_x)`` in ``grads``; each component's coefficient
+    table is computed once and dropped before the next one is built."""
+    out = [np.zeros(paths_x.shape[0])] * len(fns)
+    for ctx, field, weight in ((mctx.ctx_b, field_b, mctx.alpha),
+                               (mctx.ctx_h, field_h, mctx.beta)):
+        if field is not None:
+            parts = _pairings(ctx, fns, grads, field_coefficients(field, paths_x))
+            out = [o + weight * p for o, p in zip(out, parts)]
+    return out
+
+
 def mixed_pairing(
     mctx: MixedContext,
     fn: CylindricalFunctional,
@@ -113,14 +128,8 @@ def mixed_pairing(
     ens: MixedEnsemble,
 ) -> np.ndarray:
     """<DF, (u, v)> = alpha <DF, u>_B + beta <DF, v>_H per path."""
-    out = np.zeros(ens.m)
-    if field_b is not None:
-        out = out + mctx.alpha * derivative_pairing(mctx.ctx_b, fn, field_b,
-                                                    ens.paths_x)
-    if field_h is not None:
-        out = out + mctx.beta * derivative_pairing(mctx.ctx_h, fn, field_h,
-                                                   ens.paths_x)
-    return out
+    return _mixed_pairings(mctx, [fn], [fn.gradient(ens.paths_x)], field_b, field_h,
+                           ens.paths_x)[0]
 
 
 def mixed_clark_fields(

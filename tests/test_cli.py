@@ -8,6 +8,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,17 @@ from roughcalc.errors import IllConditionedModelError
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+def test_cli_import_does_not_load_scipy_stats() -> None:
+    # importing scipy.stats costs most of a second on every start; the KS
+    # statistic is computed from scipy.special instead
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    probe = ("import sys, roughcalc.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_simulate_exits_zero_and_writes_reports(tmp_path, capsys) -> None:

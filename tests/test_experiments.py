@@ -12,7 +12,10 @@ import pytest
 from roughcalc import experiments, gaussian
 from roughcalc.config import DEFAULTS, ExperimentConfig
 from roughcalc.errors import ConfigError
+from roughcalc.functionals import catalog_names, make_functional
 from roughcalc.gaussian import CHUNK_ROWS, sample_ensemble
+from roughcalc.malliavin import derivative_pairing, field_coefficients
+from roughcalc.mixed import MixedContext, mixed_pairing, sample_mixed
 from roughcalc.models import (CovarianceModel, GramContext, TimeGrid,
                               increment_variance)
 from roughcalc.experiments import (run_adjointness, run_factorization,
@@ -186,6 +189,93 @@ def test_sampler_stats_working_memory_is_bounded_in_bytes() -> None:
     finally:
         tracemalloc.stop()
     assert peak <= 96 << 20
+
+
+@pytest.mark.parametrize("n", [1000, 5000, 20_000])
+def test_ks_helper_matches_scipy_kstest(n: int) -> None:
+    from scipy import stats
+
+    sample = 0.8 * np.random.default_rng(20261018).standard_normal(n)
+    stat, pvalue = experiments._ks_normal(sample, 0.8)
+    ref = stats.kstest(sample, "norm", args=(0.0, 0.8))
+    assert stat == ref.statistic
+    # asymptotic Kolmogorov p-value against kstest's exact one
+    assert abs(pvalue - ref.pvalue) <= 0.05 * ref.pvalue
+
+
+def _duality_inputs(monkeypatch, run, cfg) -> dict:
+    """The grid, paths, fields and pairing callable an experiment hands to
+    _duality_rows (whose rows are skipped)."""
+    seen = {}
+
+    def capture(report, grid, paths, fields, delta_of, pairings_of, kind=None):
+        seen.update(grid=grid, paths=paths, fields=fields, pairings_of=pairings_of)
+        return 0.0
+
+    monkeypatch.setattr(experiments, "_duality_rows", capture)
+    run(cfg)
+    return seen
+
+
+def _cached_pairings(seen):
+    """(field, functional, pairing) from cached gradients and tables, as the
+    experiment computes them."""
+    fns = [make_functional(name, seen["grid"]) for name in catalog_names()]
+    grads = [fn.gradient(seen["paths"]) for fn in fns]
+    for _, u in seen["fields"]:
+        for fn, got in zip(fns, seen["pairings_of"](u, fns, grads)):
+            yield u, fn, got
+
+
+def test_adjointness_pairings_are_derivative_pairing_bitwise(monkeypatch) -> None:
+    cfg = small()
+    seen = _duality_inputs(monkeypatch, run_adjointness, cfg)
+    ctx = GramContext.build(cfg.covariance_model(), seen["grid"])
+    assert len(seen["fields"]) == 3
+    paths = seen["paths"]
+    for u, fn, got in _cached_pairings(seen):
+        assert np.array_equal(got, derivative_pairing(ctx, fn, u, paths))
+        # the plain out-of-place form of the pairing formula
+        v = field_coefficients(u, paths)
+        want = (fn.gradient(paths) * (v @ ctx.sigma[:, list(fn.indices)])).sum(axis=-1)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.7, 1.2), (1.0, 0.0)],
+                         ids=["general", "beta0"])
+def test_mixed_pairings_are_mixed_pairing_bitwise(monkeypatch, alpha, beta) -> None:
+    cfg = small(model="mixed", alpha=alpha, beta=beta)
+    seen = _duality_inputs(monkeypatch, run_mixed, cfg)
+    mctx = MixedContext.build(alpha, beta, cfg.hurst, seen["grid"])
+    ens = sample_mixed(mctx, cfg.paths, cfg.seed)
+    assert np.array_equal(ens.paths_x, seen["paths"])
+    for u, fn, got in _cached_pairings(seen):
+        assert np.array_equal(got, mixed_pairing(mctx, fn, *u, ens))
+
+
+def test_mixed_row_loop_holds_one_coefficient_table_at_a_time(monkeypatch) -> None:
+    # n = 64, m = 20 000: a coefficient table is 10 MiB.  The row loop holds
+    # every functional's gradient, one component table and one product of
+    # it, and per-path vectors; holding a second table would cross the bound
+    n, m = 64, 20_000
+    peaks = []
+    rows = experiments._duality_rows
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = rows(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(experiments, "_duality_rows", traced)
+    run_mixed(small(model="mixed", alpha=1.0, beta=1.0, grid_n=n, paths=m))
+    grid = TimeGrid.uniform_grid(n)
+    grad_bytes = 8 * m * sum(make_functional(name, grid).k for name in catalog_names())
+    table_bytes = 8 * m * n
+    assert peaks[0] < grad_bytes + 3 * table_bytes
 
 
 def test_simulate_summary_records_min_eigenvalue_ratio(monkeypatch) -> None:

@@ -8,9 +8,16 @@ For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 * `write_ensemble` and `read_ensemble` of the dense ensemble;
 
 then makes one more call of each under `tracemalloc` and records its peak
-traced bytes, and that peak less the array the call returns.  The record
-also holds nproc, the BLAS library and the thread count the library
-reports.  BLAS runs one thread unless the environment sets the thread
+traced bytes, and that peak less the array the call returns.  Two more
+steps time the start and the adjointness check:
+
+* ``import_cli``: ``import roughcalc.cli`` in a fresh interpreter, best of
+  REPEATS, with that interpreter's peak resident set;
+* ``duality_rows``: `run_adjointness` at DUALITY_CASE, measured like the
+  steps above.
+
+The record also holds nproc, the BLAS library and the thread count the
+library reports.  BLAS runs one thread unless the environment sets the thread
 variables, as the benchmark does on two cores.  Uses the package under this
 checkout's ``src/``:
 
@@ -23,8 +30,10 @@ beside the labels it already holds; without it, the record is printed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -43,11 +52,13 @@ for _var in envinfo.BLAS_THREAD_VARS:
 import numpy as np  # noqa: E402
 
 from roughcalc import experiments  # noqa: E402
+from roughcalc.config import DEFAULTS  # noqa: E402
 from roughcalc.gaussian import (read_ensemble, sample_ensemble,  # noqa: E402
                                 sample_ensemble_circulant, write_ensemble)
 from roughcalc.models import CovarianceModel, GramContext, TimeGrid  # noqa: E402
 
 CASES = ((64, 20_000, 0.25), (1024, 20_000, 0.25))
+DUALITY_CASE = (64, 20_000, 0.25)
 WORKERS = (1, 2)
 REPEATS = 5
 SEED = 42
@@ -98,6 +109,34 @@ def _case(n: int, m: int, hurst: float, tmp: Path) -> list[dict]:
     return rows
 
 
+# The peak RSS is the interpreter's own VmHWM: a child's ru_maxrss keeps the
+# peak of the process that spawned it, which here holds the ensembles.
+_IMPORT_PROBE = ("import time; start = time.perf_counter(); import roughcalc.cli; "
+                 "elapsed = time.perf_counter() - start; "
+                 "print(elapsed, *[line.split()[1] for line in open('/proc/self/status') "
+                 "if line.startswith('VmHWM:')])")
+
+
+def _import_cli() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = []
+    for _ in range(REPEATS):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        runs.append((float(out[0]), int(out[1])))
+    best, hwm_kib = min(runs)
+    return {"step": "import_cli", "workers": 1, "best_s": round(best, 4),
+            "peak_rss_mib": round(hwm_kib / 1024, 1)}
+
+
+def _duality_rows() -> dict:
+    n, m, hurst = DUALITY_CASE
+    cfg = dataclasses.replace(DEFAULTS, model="fbm", hurst=hurst, grid_n=n, paths=m,
+                              seed=SEED, workers=1)
+    return {"step": "duality_rows", "n": n, "m": m, "hurst": hurst, "workers": 1,
+            **_measure(lambda: experiments.run_adjointness(cfg))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change")
@@ -105,6 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for case in CASES for row in _case(*case, Path(tmp))]
+    rows += [_import_cli(), _duality_rows()]
     env = envinfo.collect(workers=max(WORKERS))
     del env["workers"]
     record = {"env": env, "repeats": REPEATS, "rows": rows}
