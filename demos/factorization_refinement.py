@@ -33,7 +33,7 @@ def main() -> None:
 
     rem = run_remainder_scaling(dataclasses.replace(
         BASE, model="fbm", hurst=0.25, functional="quadratic",
-        grid_n=128, offsets=6))
+        grid_n=128))
     s = rem.summary
     print("remainder scaling in the time gap (log-log fit over dyadic offsets):")
     print(f"  slope {s['slope']:.3f}  (reference exponent {s['reference_exponent']:.1f})")

@@ -42,9 +42,6 @@ class ExperimentConfig:
     workers: int = 1
     functional: str = "quadratic"
     grid_sweep: tuple[int, ...] = (8, 16, 32, 64)
-    hurst_sweep: tuple[float, ...] = (0.1, 0.25, 0.4, 0.5)
-    offsets: int = 6
-    elements: int = 100
     out_dir: str = "."
 
     def __post_init__(self):
@@ -52,8 +49,6 @@ class ExperimentConfig:
             raise ConfigError(f"model must be bm|fbm|mixed, got {self.model!r}")
         try:
             self.covariance_model()
-            for h in self.hurst_sweep:
-                CovarianceModel.fbm(h)
             if self.times:
                 TimeGrid(self.times, self.horizon)
         except ValueError as exc:
@@ -71,12 +66,8 @@ class ExperimentConfig:
         if self.functional not in catalog_names():
             raise ConfigError(f"unknown functional {self.functional!r}; "
                               f"choose from {', '.join(catalog_names())}")
-        if not self.hurst_sweep:
-            raise ConfigError("hurst_sweep must name at least one Hurst value")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.elements < 1:
-            raise ConfigError("elements must be >= 1")
 
     def covariance_model(self) -> CovarianceModel:
         if self.model == "bm":

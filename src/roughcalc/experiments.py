@@ -46,7 +46,7 @@ from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
                         deterministic_field, divergence, field_coefficients,
                         field_norm_sq, increment_directions,
                         isometry_defect_affine)
-from .mixed import MixedContext, _mixed_pairings, mixed_divergence, sample_mixed
+from .mixed import MixedContext, sample_mixed
 from .models import CovarianceModel, increment_variance
 from .reporting import ExperimentReport
 
@@ -72,6 +72,11 @@ STREAM_ELEMENTS = 9001
 # are small multiples of the grid step so every (s, t) pair stays on-grid.
 _GUBINELLI_ANCHORS = (0.25, 0.375, 0.5, 0.625, 0.75)
 _GUBINELLI_STEPS = (1, 2, 4, 8)
+# Dyadic offsets probed by the remainder experiment.
+_REMAINDER_OFFSETS = 6
+# Random energy-space elements and Hurst values of the projection lemma.
+_LEMMA_ELEMENTS = 100
+_LEMMA_HURSTS = (0.1, 0.25, 0.4, 0.5)
 
 _EXACT_RESIDUAL_TOL = 1e-20
 _INCREMENT_SAMPLES = 1000
@@ -158,27 +163,35 @@ def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
     return _mean_se((fn.values(paths) - mean - delta) ** 2)
 
 
-def _duality_rows(report: ExperimentReport, grid, paths: np.ndarray, fields,
-                  delta_of, pairings_of, kind: str | None = None) -> float:
+def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields,
+                  kind: str | None = None) -> float:
     """One row per catalog functional x field: E[F delta(u)] against
     E[<DF, u>] at 3 combined SE; returns the worst sigma.
 
-    ``delta_of(u)`` gives the per-path divergence and ``pairings_of(u, fns,
-    grads)`` the per-path pairing of u with each functional, from the
-    functionals' gradients.  Each gradient is computed once and each
-    field's coefficient table once, one field at a time; rows are added
-    functional by functional.  Every row carries the paired SE of the
-    per-path gap; rows with a ``kind`` (the mixed report) lead with it.
+    ``paths`` are the observed paths X, which the functionals and the field
+    coefficients read, and ``parts`` the weighted components (ctx, component
+    paths, weight) of X: one part of weight 1 for bm/fbm, B then B^H for a
+    mixture.  delta(u) and <DF, u> are sums over the parts, started from 0.
+    Each gradient is computed once and each field's coefficient table once,
+    one field at a time; rows are added functional by functional.  Every row
+    carries the paired SE of the per-path gap; rows with a ``kind`` (the
+    mixed report) lead with it.
     """
-    fns = [make_functional(name, grid) for name in catalog_names()]
+    fns = [make_functional(name, parts[0][0].grid) for name in catalog_names()]
     values = [fn.values(paths) for fn in fns]
-    deltas = [delta_of(u) for _, u in fields]
+    deltas = [sum(divergence(ctx, u, own, paths, weight) for ctx, own, weight in parts)
+              for _, u in fields]
     grads = [fn.gradient(paths) for fn in fns]
     rows = [[] for _ in fns]
     worst = 0.0
     for (field_name, u), delta in zip(fields, deltas):
-        for fn, value, rhs, fn_rows in zip(fns, values, pairings_of(u, fns, grads),
-                                           rows):
+        pairings = [0.0] * len(fns)  # frees the last field's sums first
+        v = field_coefficients(u, paths)
+        for ctx, _, weight in parts:
+            pairings = [total + weight * p
+                        for total, p in zip(pairings, _pairings(ctx, fns, grads, v))]
+        del v  # before the next field's table is built
+        for fn, value, rhs, fn_rows in zip(fns, values, pairings, rows):
             lhs = value * delta
             lhs_mean, lhs_se = _mean_se(lhs)
             rhs_mean, rhs_se = _mean_se(rhs)
@@ -224,6 +237,9 @@ def _test_fields(ctx: GramContext) -> list[tuple[str, VectorField]]:
       (slot 0 reads nothing), predictable by construction.
     * ``nonadapted_affine``: increment directions with a_s = X_{t_N}, every
       slot reading the terminal value.
+
+    The fields depend on ``ctx`` only through n, so one list serves every
+    component of a mixture.
     """
     n = ctx.n
     term = np.zeros((1, n))
@@ -250,10 +266,8 @@ def run_adjointness(cfg: ExperimentConfig) -> ExperimentReport:
     """
     ctx, ens = _setup(cfg)
     report = _report(cfg, "adjointness", ctx.n)
-    worst = _duality_rows(report, ctx.grid, ens.paths, _test_fields(ctx),
-                          lambda u: divergence(ctx, u, ens.paths),
-                          lambda u, fns, grads: _pairings(
-                              ctx, fns, grads, field_coefficients(u, ens.paths)))
+    worst = _duality_rows(report, ens.paths, [(ctx, ens.paths, 1.0)],
+                          _test_fields(ctx))
     return _summarize(report, rows=len(report.results), max_sigma=worst,
                       jitter=ctx.jitter)
 
@@ -304,16 +318,16 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
 # --- remainder scaling -------------------------------------------------------
 
 
-def _dyadic_offset_indices(grid, i_s: int, count: int) -> list[int]:
-    """Grid indices of t = s + (T/2) 2^{-q}, q = 1..count, snapped and
-    deduplicated; needs at least 5 distinct usable offsets.
+def _dyadic_offset_indices(grid, i_s: int) -> list[int]:
+    """Grid indices of t = s + (T/2) 2^{-q}, q = 1.._REMAINDER_OFFSETS,
+    snapped and deduplicated; needs at least 5 distinct usable offsets.
 
     q starts at 1 so the largest offset is T/4 and no probe touches the
     horizon endpoint, keeping the regression inside the interior scaling
     window."""
     s_time = grid.times[i_s]
     indices: list[int] = []
-    for q in range(1, count + 1):
+    for q in range(1, _REMAINDER_OFFSETS + 1):
         t = s_time + 0.5 * grid.horizon * 2.0 ** (-q)
         i_t = grid.index_of(t)
         if i_t > i_s and i_t not in indices:
@@ -321,7 +335,7 @@ def _dyadic_offset_indices(grid, i_s: int, count: int) -> list[int]:
     if len(indices) < 5:
         raise ConfigError(
             f"only {len(indices)} distinct offsets land on the grid; "
-            "need at least 5 (refine the grid or lower the offset count)"
+            "need at least 5 (refine the grid)"
         )
     return indices
 
@@ -338,7 +352,7 @@ def run_remainder_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     grid = ctx.grid
     fn = make_functional(cfg.functional, grid)
     i_s = grid.index_of(0.5 * grid.horizon)
-    offsets = _dyadic_offset_indices(grid, i_s, cfg.offsets)
+    offsets = _dyadic_offset_indices(grid, i_s)
     m_s, _, projected = _anchor(ctx, fn, i_s, ens.paths)
 
     report = _report(cfg, "remainder", grid.n)
@@ -545,10 +559,10 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
     grid = cfg.grid()
     n = grid.n
     gen = RngStream(cfg.seed, STREAM_ELEMENTS).generator(0)
-    elements = gen.standard_normal((cfg.elements, n))
+    elements = gen.standard_normal((_LEMMA_ELEMENTS, n))
     report = _report(cfg, "lemma", n)
     overall = 0.0
-    for h in cfg.hurst_sweep:
+    for h in _LEMMA_HURSTS:
         ctx = GramContext.build(CovarianceModel.fbm(h), grid)
         sigma = ctx.sigma
         rhs_full = elements @ sigma  # row i = (Sigma h_i)^T
@@ -581,7 +595,7 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
     report.summary = {
         "max_gap": overall,
         "bm_projection_max_gap": bm_gap,
-        "elements": int(cfg.elements),
+        "elements": _LEMMA_ELEMENTS,
     }
     report.passed = bool(overall <= _ROUTE_TOL and bm_gap <= _BM_PROJECTION_TOL)
     return report
@@ -687,7 +701,8 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     gates are statistical, so fewer than MIN_STATISTICAL_PATHS paths are a
     config error.  The summary records the circulant embedding's min/max
     eigenvalue ratio (None without a circulant run).
-    The optional export writes the dense ensemble in the binary format.
+    The optional export writes the dense ensemble in the binary format,
+    before the circulant draw, so that one ensemble is held at a time.
     """
     cfg.require_statistical()
     grid = cfg.grid()
@@ -696,6 +711,9 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     dense = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                             workers=cfg.workers)
     rows = [_sampler_stats(ctx, dense)]
+    if export_path is not None:
+        write_ensemble(export_path, dense)
+    del dense  # one ensemble in memory at a time
     min_eig_ratio = None
     if grid.uniform and not (ctx.model.alpha and ctx.model.beta):
         circ = sample_ensemble_circulant(ctx, cfg.paths, cfg.seed,
@@ -720,22 +738,10 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                       "samplers": [r.get("sampler") for r in rows],
                       "circulant_min_eig_ratio": min_eig_ratio}
     report.passed = bool(ok)
-    if export_path is not None:
-        write_ensemble(export_path, dense)
     return report
 
 
 # --- mixed process -----------------------------------------------------------
-
-
-def _mixed_fields(mctx: MixedContext):
-    """(name, (B field, B^H field)) pairs of the field suite; a component with
-    weight exactly zero is dropped so degenerate mixtures run the literal
-    pure pipeline."""
-    return [(name, (None if mctx.alpha == 0.0 else fb,
-                    None if mctx.beta == 0.0 else fh))
-            for (name, fb), (_, fh) in zip(_test_fields(mctx.ctx_b),
-                                           _test_fields(mctx.ctx_h))]
 
 
 def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
@@ -755,10 +761,10 @@ def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
     report = _report(cfg, "mixed", grid.n)
-    worst = _duality_rows(report, grid, ens.paths_x, _mixed_fields(mctx),
-                          lambda u: mixed_divergence(mctx, *u, ens),
-                          lambda u, fns, grads: _mixed_pairings(
-                              mctx, fns, grads, *u, ens.paths_x),
+    parts = [(ctx, own, weight) for ctx, own, weight in (
+        (mctx.ctx_b, ens.paths_b, mctx.alpha), (mctx.ctx_h, ens.paths_h, mctx.beta))
+        if weight != 0.0]
+    worst = _duality_rows(report, ens.paths_x, parts, _test_fields(mctx.ctx_x),
                           kind="adjointness")
     # The Clark pair of the components sums to the Clark field of X itself
     # (see mixed_clark_fields), so the residual is taken in the X geometry;

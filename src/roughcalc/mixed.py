@@ -33,8 +33,8 @@ import numpy as np
 from .energy import GramContext
 from .functionals import CylindricalFunctional
 from .gaussian import _row_blocks, _sample_dense
-from .malliavin import (VectorField, _pairings, clark_integrand, divergence,
-                        field_coefficients)
+from .malliavin import (VectorField, clark_integrand, derivative_pairing,
+                        divergence)
 from .models import CovarianceModel, TimeGrid
 
 __all__ = ["MixedContext", "MixedEnsemble", "mixed_divergence", "mixed_pairing",
@@ -89,6 +89,15 @@ def sample_mixed(
     return MixedEnsemble(paths_b, paths_h, paths_x)
 
 
+def _parts(mctx: MixedContext, field_b: VectorField | None,
+           field_h: VectorField | None, ens: MixedEnsemble):
+    """(ctx, field, component paths, weight) of each component with a field,
+    B first."""
+    return [(ctx, field, paths, weight) for ctx, field, paths, weight in (
+        (mctx.ctx_b, field_b, ens.paths_b, mctx.alpha),
+        (mctx.ctx_h, field_h, ens.paths_h, mctx.beta)) if field is not None]
+
+
 def mixed_divergence(
     mctx: MixedContext,
     field_b: VectorField | None,
@@ -96,28 +105,9 @@ def mixed_divergence(
     ens: MixedEnsemble,
 ) -> np.ndarray:
     """delta(u, v) = delta_B(u) + delta_H(v); coefficient rules read X."""
-    out = np.zeros(ens.m)
-    if field_b is not None:
-        out = out + divergence(mctx.ctx_b, field_b, ens.paths_b, ens.paths_x,
-                               mctx.alpha)
-    if field_h is not None:
-        out = out + divergence(mctx.ctx_h, field_h, ens.paths_h, ens.paths_x,
-                               mctx.beta)
-    return out
-
-
-def _mixed_pairings(mctx: MixedContext, fns, grads, field_b: VectorField | None,
-                    field_h: VectorField | None, paths_x: np.ndarray) -> list[np.ndarray]:
-    """`mixed_pairing` of each F in ``fns`` from its gradient
-    ``fn.gradient(paths_x)`` in ``grads``; each component's coefficient
-    table is computed once and dropped before the next one is built."""
-    out = [np.zeros(paths_x.shape[0])] * len(fns)
-    for ctx, field, weight in ((mctx.ctx_b, field_b, mctx.alpha),
-                               (mctx.ctx_h, field_h, mctx.beta)):
-        if field is not None:
-            parts = _pairings(ctx, fns, grads, field_coefficients(field, paths_x))
-            out = [o + weight * p for o, p in zip(out, parts)]
-    return out
+    return sum((divergence(ctx, field, paths, ens.paths_x, weight)
+                for ctx, field, paths, weight in _parts(mctx, field_b, field_h, ens)),
+               np.zeros(ens.m))
 
 
 def mixed_pairing(
@@ -128,8 +118,9 @@ def mixed_pairing(
     ens: MixedEnsemble,
 ) -> np.ndarray:
     """<DF, (u, v)> = alpha <DF, u>_B + beta <DF, v>_H per path."""
-    return _mixed_pairings(mctx, [fn], [fn.gradient(ens.paths_x)], field_b, field_h,
-                           ens.paths_x)[0]
+    return sum((weight * derivative_pairing(ctx, fn, field, ens.paths_x)
+                for ctx, field, _, weight in _parts(mctx, field_b, field_h, ens)),
+               np.zeros(ens.m))
 
 
 def mixed_clark_fields(

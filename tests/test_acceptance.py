@@ -60,7 +60,7 @@ def test_criterion_01_increment_identity(announce) -> None:
 
 def test_criterion_02_projection_lemma(announce) -> None:
     start = time.perf_counter()
-    rep = run_projection_lemma(cfg_with(grid_n=32, elements=100))
+    rep = run_projection_lemma(cfg_with(grid_n=32))
     elapsed = time.perf_counter() - start
     ok = rep.passed and elapsed < 10.0
     announce(
@@ -170,7 +170,7 @@ def test_criterion_06_factorization_refinement(announce) -> None:
 def test_criterion_07_remainder_scaling(announce) -> None:
     start = time.perf_counter()
     rep = run_remainder_scaling(cfg_with(model="fbm", hurst=0.25, grid_n=128,
-                                         paths=M_FULL, offsets=6, seed=42,
+                                         paths=M_FULL, seed=42,
                                          functional="quadratic"))
     elapsed = time.perf_counter() - start
     s = rep.summary

@@ -112,10 +112,10 @@ def test_bad_value_exits_one() -> None:
      "--paths", "1000"),
     ("gubinelli", "--grid-n", "2", "--paths", "1000"),
     ("adjointness", "--grid-n", "1", "--paths", "1000"),
-    # no random elements to project; one path has no sample variance
+    # the lemma's element count and Hurst values are constants, not keys
     ("lemma", "--set", "elements=-1"),
+    # one path has no sample variance
     ("simulate", "--paths", "1"),
-    # a check over zero Hurst values would pass vacuously
     ("lemma", "--set", "hurst_sweep="),
     ("verify-all", "--set", "times=0.2,0.5,0.9"),
     # seeds outside [0, 2^64), a non-finite horizon, non-finite weights

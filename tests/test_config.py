@@ -28,7 +28,6 @@ def test_parse_round_trip() -> None:
     grid_n = 16        # inline comment
     paths = 5000
     grid_sweep = 8, 16
-    hurst_sweep = 0.1, 0.3
     functional = linear
     """
     values = parse_config_text(text)
@@ -38,7 +37,6 @@ def test_parse_round_trip() -> None:
     assert cfg.alpha == 0.5
     assert cfg.grid_n == 16
     assert cfg.grid_sweep == (8, 16)
-    assert cfg.hurst_sweep == (0.1, 0.3)
 
 
 def test_unknown_key_reports_line_number() -> None:
@@ -92,9 +90,6 @@ def test_validation_errors() -> None:
         dict(horizon=-1.0),
         dict(horizon=0.0),
         dict(functional="nope"),
-        dict(hurst_sweep=(0.3, 1.5)),
-        dict(hurst_sweep=(0.0,)),
-        dict(hurst_sweep=()),
         dict(grid_sweep=(0, 8)),
         dict(seed=-1),
         dict(seed=2**64),
@@ -104,6 +99,17 @@ def test_validation_errors() -> None:
     ):
         with pytest.raises(ConfigError):
             dataclasses.replace(DEFAULTS, **kw)
+
+
+@pytest.mark.parametrize("key", ["hurst_sweep", "offsets", "elements"])
+def test_fixed_settings_are_unknown_keys(key) -> None:
+    # the lemma's Hurst values and elements and the remainder's offsets are
+    # constants of the experiments, not config keys
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, {key: "1"})
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"{key} = 1\n")
+    assert key not in DEFAULTS.echo()
 
 
 def test_echo_excludes_environment_keys() -> None:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from roughcalc.config import DEFAULTS, ExperimentConfig
 from roughcalc.errors import ConfigError
 from roughcalc.functionals import catalog_names, make_functional
 from roughcalc.gaussian import CHUNK_ROWS, sample_ensemble
-from roughcalc.malliavin import derivative_pairing, field_coefficients
-from roughcalc.mixed import MixedContext, mixed_pairing, sample_mixed
+from roughcalc.malliavin import derivative_pairing, divergence, field_coefficients
+from roughcalc.mixed import MixedContext, mixed_divergence, mixed_pairing, sample_mixed
 from roughcalc.models import (CovarianceModel, GramContext, TimeGrid,
                               increment_variance)
 from roughcalc.experiments import (run_adjointness, run_factorization,
@@ -40,11 +42,12 @@ def test_increment_identity_report() -> None:
 
 
 def test_projection_lemma_small() -> None:
-    rep = run_projection_lemma(small(grid_n=8, elements=20))
+    rep = run_projection_lemma(small(grid_n=8))
     assert rep.passed
     assert rep.summary["max_gap"] <= 1e-10
     assert rep.summary["bm_projection_max_gap"] <= 1e-12
-    assert len(rep.results) == len(DEFAULTS.hurst_sweep)
+    assert len(rep.results) == len(experiments._LEMMA_HURSTS)
+    assert rep.summary["elements"] == experiments._LEMMA_ELEMENTS
 
 
 def test_adjointness_rows_cover_catalog_and_fields() -> None:
@@ -203,54 +206,61 @@ def test_ks_helper_matches_scipy_kstest(n: int) -> None:
     assert abs(pvalue - ref.pvalue) <= 0.05 * ref.pvalue
 
 
-def _duality_inputs(monkeypatch, run, cfg) -> dict:
-    """The grid, paths, fields and pairing callable an experiment hands to
-    _duality_rows (whose rows are skipped)."""
+def _duality_sides(monkeypatch, run, cfg) -> dict:
+    """The paths and fields an experiment hands to _duality_rows, and the
+    per-path arrays F delta(u) and <DF, u> of each row, field by field and
+    functional by functional, as the rows' means read them."""
     seen = {}
+    rows, mean_se = experiments._duality_rows, experiments._mean_se
 
-    def capture(report, grid, paths, fields, delta_of, pairings_of, kind=None):
-        seen.update(grid=grid, paths=paths, fields=fields, pairings_of=pairings_of)
-        return 0.0
+    def capture(report, paths, parts, fields, kind=None):
+        means = []
+        monkeypatch.setattr(experiments, "_mean_se",
+                            lambda x: means.append(x) or mean_se(x))
+        try:
+            worst = rows(report, paths, parts, fields, kind)
+        finally:
+            monkeypatch.setattr(experiments, "_mean_se", mean_se)
+        # each row takes the mean of lhs, of rhs and of lhs - rhs
+        seen.update(paths=paths, fields=fields, lhs=means[0::3], rhs=means[1::3])
+        return worst
 
     monkeypatch.setattr(experiments, "_duality_rows", capture)
     run(cfg)
+    fns = [make_functional(name, cfg.grid()) for name in catalog_names()]
+    seen["cases"] = [(u, fn) for _, u in seen["fields"] for fn in fns]
+    assert len(seen["lhs"]) == len(seen["rhs"]) == len(seen["cases"]) == 3 * len(fns)
     return seen
-
-
-def _cached_pairings(seen):
-    """(field, functional, pairing) from cached gradients and tables, as the
-    experiment computes them."""
-    fns = [make_functional(name, seen["grid"]) for name in catalog_names()]
-    grads = [fn.gradient(seen["paths"]) for fn in fns]
-    for _, u in seen["fields"]:
-        for fn, got in zip(fns, seen["pairings_of"](u, fns, grads)):
-            yield u, fn, got
 
 
 def test_adjointness_pairings_are_derivative_pairing_bitwise(monkeypatch) -> None:
     cfg = small()
-    seen = _duality_inputs(monkeypatch, run_adjointness, cfg)
-    ctx = GramContext.build(cfg.covariance_model(), seen["grid"])
-    assert len(seen["fields"]) == 3
+    seen = _duality_sides(monkeypatch, run_adjointness, cfg)
+    ctx = GramContext.build(cfg.covariance_model(), cfg.grid())
     paths = seen["paths"]
-    for u, fn, got in _cached_pairings(seen):
-        assert np.array_equal(got, derivative_pairing(ctx, fn, u, paths))
+    for (u, fn), lhs, rhs in zip(seen["cases"], seen["lhs"], seen["rhs"]):
+        assert np.array_equal(lhs, fn.values(paths) * divergence(ctx, u, paths))
+        assert np.array_equal(rhs, derivative_pairing(ctx, fn, u, paths))
         # the plain out-of-place form of the pairing formula
         v = field_coefficients(u, paths)
         want = (fn.gradient(paths) * (v @ ctx.sigma[:, list(fn.indices)])).sum(axis=-1)
-        assert np.array_equal(got, want)
+        assert np.array_equal(rhs, want)
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.7, 1.2), (1.0, 0.0)],
-                         ids=["general", "beta0"])
+@pytest.mark.parametrize("alpha, beta", [(0.7, 1.2), (1.0, 0.0), (0.0, 1.0)],
+                         ids=["general", "beta0", "alpha0"])
 def test_mixed_pairings_are_mixed_pairing_bitwise(monkeypatch, alpha, beta) -> None:
     cfg = small(model="mixed", alpha=alpha, beta=beta)
-    seen = _duality_inputs(monkeypatch, run_mixed, cfg)
-    mctx = MixedContext.build(alpha, beta, cfg.hurst, seen["grid"])
+    seen = _duality_sides(monkeypatch, run_mixed, cfg)
+    mctx = MixedContext.build(alpha, beta, cfg.hurst, cfg.grid())
     ens = sample_mixed(mctx, cfg.paths, cfg.seed)
     assert np.array_equal(ens.paths_x, seen["paths"])
-    for u, fn, got in _cached_pairings(seen):
-        assert np.array_equal(got, mixed_pairing(mctx, fn, *u, ens))
+    for (u, fn), lhs, rhs in zip(seen["cases"], seen["lhs"], seen["rhs"]):
+        # a component of weight exactly zero carries no field
+        pair = (None if alpha == 0.0 else u, None if beta == 0.0 else u)
+        delta = mixed_divergence(mctx, *pair, ens)
+        assert np.array_equal(lhs, fn.values(ens.paths_x) * delta)
+        assert np.array_equal(rhs, mixed_pairing(mctx, fn, *pair, ens))
 
 
 def test_mixed_row_loop_holds_one_coefficient_table_at_a_time(monkeypatch) -> None:
@@ -290,6 +300,30 @@ def test_simulate_summary_records_min_eigenvalue_ratio(monkeypatch) -> None:
     assert fell_back.summary["samplers"] == ["cholesky", "cholesky"]
     assert fell_back.results[1]["fallback"] is True
     assert fell_back.summary["circulant_min_eig_ratio"] == -0.5
+
+
+def test_simulate_drops_dense_ensemble_before_circulant_draw(monkeypatch,
+                                                              tmp_path) -> None:
+    dense_paths = []
+    draw = experiments.sample_ensemble
+    draw_circulant = experiments.sample_ensemble_circulant
+
+    def sample(*args, **kwargs):
+        ens = draw(*args, **kwargs)
+        dense_paths.append(weakref.ref(ens.paths))
+        return ens
+
+    def sample_circulant(*args, **kwargs):
+        gc.collect()
+        assert dense_paths[0]() is None
+        return draw_circulant(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_ensemble", sample)
+    monkeypatch.setattr(experiments, "sample_ensemble_circulant", sample_circulant)
+    export = tmp_path / "paths.bin"
+    rep = run_simulate(small(grid_n=16, paths=2_000), export_path=str(export))
+    assert rep.summary["samplers"] == ["cholesky", "circulant"]
+    assert export.stat().st_size > 8 * 16 * 2_000
 
 
 def test_simulate_mixed_model() -> None:

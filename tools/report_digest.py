@@ -1,11 +1,12 @@
 """Digest of every report the CLI and the demos produce.
 
 Runs each argv in CONFIGS through ``python -m roughcalc`` into a fresh
-output directory, and each script in ``demos/``, using the package under
-this checkout's ``src/``.  Prints one sha256 line per report file and per
-stdout (with the output directory replaced by ``<out>``), plus each exit
-code.  Two checkouts produce the same reports byte for byte exactly when
-their digests match:
+output directory (``{out}`` in an argv names that directory), and each
+script in ``demos/``, using the package under this checkout's ``src/``.
+Prints one sha256 line per file in the output directory and per stdout
+(with the output directory replaced by ``<out>``), plus each exit code.
+Two checkouts produce the same reports byte for byte exactly when their
+digests match:
 
     python3 tools/report_digest.py > digest.txt
 
@@ -30,6 +31,8 @@ CONFIGS = (
     ("verify-all",),
     ("verify-all", "--seed", "7", "--workers", "2", "--paths", "5000"),
     ("simulate",),
+    # the binary ensemble export
+    ("simulate", "--export", "{out}/paths.bin"),
     ("adjointness",),
     ("factorize",),
     ("remainder",),
@@ -65,7 +68,8 @@ def main() -> int:
     for argv in CONFIGS:
         label = " ".join(argv)
         with tempfile.TemporaryDirectory() as out:
-            proc = _run([sys.executable, "-m", "roughcalc", *argv, "--out-dir", out])
+            args = [a.replace("{out}", out) for a in argv]
+            proc = _run([sys.executable, "-m", "roughcalc", *args, "--out-dir", out])
             stdout = proc.stdout.replace(out.encode(), b"<out>")
             print(f"{_sha(stdout)}  [{label}] stdout rc={proc.returncode}", flush=True)
             for name in sorted(os.listdir(out)):
