@@ -35,17 +35,16 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .config import ExperimentConfig, float_label
-from .energy import GramContext, increment_element, inner_product, project_adapted
+from .energy import (GramContext, increment_element, inner_product, project_adapted,
+                     representer)
 from .errors import ConfigError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
 from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, conditional_law,
-                       regression_coefficients, sample_ensemble,
-                       sample_ensemble_circulant, write_ensemble)
+                       sample_ensemble, sample_ensemble_circulant, write_ensemble)
 from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
-                        conditional_gradient, conditional_value,
-                        deterministic_field, divergence, field_coefficients,
-                        field_norm_sq, increment_directions,
-                        isometry_defect_affine)
+                        conditional_value, deterministic_field, divergence,
+                        field_coefficients, field_norm_sq, increment_directions,
+                        isometry_defect_affine, predictable_projection)
 from .mixed import MixedContext, sample_mixed
 from .models import CovarianceModel, increment_variance
 from .reporting import ExperimentReport
@@ -213,12 +212,11 @@ def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields,
 def _anchor(ctx: GramContext, fn: CylindricalFunctional, i_s: int,
             paths: np.ndarray):
     """M_s = E[F | prefix through s], E[DF | prefix], and the projected
-    pairing t -> <(Pi DF)_s, k_t - k_s> per path.  (Pi DF)_s in adapted
-    coordinates is the regression coefficients of X[fn.indices]."""
+    pairing t -> <(Pi DF)_s, k_t - k_s> per path, read off the factored
+    `predictable_projection`."""
     j_s = i_s + 1
     m_s = conditional_value(ctx, fn, j_s, paths)
-    cond_grad = conditional_gradient(ctx, fn, j_s, paths)
-    y_s, _ = regression_coefficients(ctx, j_s, np.asarray(fn.indices, dtype=int))
+    cond_grad, y_s = predictable_projection(ctx, fn, j_s, paths)
 
     def projected(i_t: int) -> np.ndarray:
         return cond_grad @ (y_s.T @ (ctx.sigma[:j_s, i_t] - ctx.sigma[:j_s, i_s]))
@@ -242,11 +240,9 @@ def _test_fields(ctx: GramContext) -> list[tuple[str, VectorField]]:
     component of a mixture.
     """
     n = ctx.n
-    term = np.zeros((1, n))
-    term[0, n - 1] = 1.0
+    term = representer(ctx, n - 1)[None, :]
     w = increment_directions(ctx)
-    lin_term = np.zeros((n, n))
-    lin_term[:, n - 1] = 1.0
+    lin_term = np.repeat(term, n, axis=0)
     return [
         ("deterministic", deterministic_field(term, np.array([1.0]))),
         ("adapted_affine", affine_field(w, np.ones(n), np.eye(n, k=-1))),
@@ -513,8 +509,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> ExperimentReport:
     report.add(field="deterministic", **moments, passed=bool(defect_ok))
 
     # u = X_T k_T: delta = X_T^2 - Sigma_TT per path, defect = Sigma_TT^2.
-    term = np.zeros((1, n))
-    term[0, n - 1] = 1.0
+    term = fields["deterministic"].directions
     delta, moments, defect_ok = _affine_moments(
         ctx, affine_field(term, np.zeros(1), term), ens.paths)
     pathwise_gap = float(np.max(np.abs(delta - (ens.paths[:, n - 1]**2 - sigma_tt))))
@@ -584,12 +579,9 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
     ctx_bm = GramContext.build(CovarianceModel.bm(), grid)
     bm_gap = 0.0
     for j in range(1, n + 1):
-        target = np.zeros(n)
-        target[j - 1] = 1.0
+        target = representer(ctx_bm, j - 1)
         for i in range(j - 1, n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            p = project_adapted(ctx_bm, e, j)
+            p = project_adapted(ctx_bm, representer(ctx_bm, i), j)
             d = p - target
             bm_gap = max(bm_gap, math.sqrt(max(float(d @ ctx_bm.sigma @ d), 0.0)))
     report.summary = {

@@ -236,6 +236,15 @@ def _smoother(maps):
     return quadrature
 
 
+def _condition(ctx: GramContext, fn: CylindricalFunctional, j: int,
+               prefixes: np.ndarray, maps) -> np.ndarray:
+    """(m, k) table E[maps[i](X_{t_i}) | first j coordinates] per prefix row,
+    each column integrated against its one-dimensional conditional law."""
+    prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
+    beta, cov = regression_coefficients(ctx, j, fn.indices)
+    return _smoother(maps)(prefixes[:, :j] @ beta, np.diag(cov), np.arange(fn.k))
+
+
 def conditional_gradient(
     ctx: GramContext,
     fn: CylindricalFunctional,
@@ -248,22 +257,15 @@ def conditional_gradient(
     against its one-dimensional conditional law; general functionals fall
     back to tensorized quadrature per row.
     """
+    if fn.diag is not None:
+        return _condition(ctx, fn, j, prefixes, fn.diag)
     prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
-    idx = np.asarray(fn.indices, dtype=int)
-    if fn.diag is None:
-        out = np.empty((prefixes.shape[0], fn.k))
-        for r, row in enumerate(prefixes):
-            for i in range(fn.k):
-                out[r, i] = conditional_expectation(
-                    ctx,
-                    lambda xs, i=i: fn.grad_at(xs)[..., i],
-                    idx,
-                    j,
-                    row[:j],
-                )
-        return out
-    beta, cov = regression_coefficients(ctx, j, idx)
-    return _smoother(fn.diag)(prefixes[:, :j] @ beta, np.diag(cov), np.arange(fn.k))
+    out = np.empty((prefixes.shape[0], fn.k))
+    for r, row in enumerate(prefixes):
+        for i in range(fn.k):
+            out[r, i] = conditional_expectation(
+                ctx, lambda xs, i=i: fn.grad_at(xs)[..., i], fn.indices, j, row[:j])
+    return out
 
 
 def conditional_value(
@@ -281,31 +283,26 @@ def conditional_value(
     """
     if fn.diag_terms is None:
         raise ValueError(f"functional {fn.name!r} is not separable")
-    prefixes = np.atleast_2d(np.asarray(prefixes, dtype=float))
-    idx = np.asarray(fn.indices, dtype=int)
-    beta, cov = regression_coefficients(ctx, j, idx)
-    terms = _smoother(fn.diag_terms)(prefixes[:, :j] @ beta, np.diag(cov),
-                                     np.arange(fn.k))
-    return fn.f_const + terms.sum(axis=1)
+    return fn.f_const + _condition(ctx, fn, j, prefixes, fn.diag_terms).sum(axis=1)
 
 
 def predictable_projection(
     ctx: GramContext,
     fn: CylindricalFunctional,
     j: int,
-    prefix: np.ndarray,
-) -> np.ndarray:
-    """(Pi DF)_j = sum_i E[d_i f | prefix] P_j k_{t_i}, supported on :j."""
-    prefix = np.asarray(prefix, dtype=float)
-    if prefix.ndim != 1 or prefix.size < j:
-        raise ValueError("prefix must be a 1-d path with at least j coordinates")
-    out = np.zeros(ctx.n)
-    if j == 0:
-        return out
-    cond = conditional_gradient(ctx, fn, j, prefix[None, :j])[0]
+    prefixes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi DF)_j = sum_i E[d_i f | prefix] P_j k_{t_i} for each row of
+    ``prefixes`` (m rows of at least j coordinates), in factored form (G, B).
+
+    G = `conditional_gradient` is (m, k); B is the (j, k) regression
+    coefficients of X[fn.indices] on the first j coordinates (P_j k_{t_i}
+    in adapted coordinates).  The coefficients over k_{t_1..t_j} are G B^T,
+    and <(Pi DF)_j, h> = G (B^T (Sigma h)[:j]) costs O(m k) per element h,
+    with no (m, n) table.  At j = 0, B has no rows and the projection is 0.
+    """
     beta, _ = regression_coefficients(ctx, j, fn.indices)
-    out[:j] = beta @ cond
-    return out
+    return conditional_gradient(ctx, fn, j, prefixes), beta
 
 
 def innovation_directions(ctx: GramContext) -> np.ndarray:

@@ -49,8 +49,8 @@ class CovarianceModel:
     """X = alpha * B + beta * B^H with independent components, so the
     covariances add: R = alpha^2 * min(t, s) + beta^2 * R_H(t, s).
 
-    The one validator of model parameters: H in (0, 1), weights finite,
-    nonnegative and not both zero.
+    The one validator of model parameters: H in (0, 1), weights nonnegative,
+    not both zero, and with alpha^2 + beta^2 finite.
     """
 
     alpha: float
@@ -63,10 +63,12 @@ class CovarianceModel:
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {h!r}")
         object.__setattr__(self, "hurst", h)
         a, b = self.alpha, self.beta
-        if not (math.isfinite(a) and math.isfinite(b) and min(a, b) >= 0.0
-                and (a or b)):
-            raise ValueError("weights alpha and beta must be finite, nonnegative "
-                             f"and not both zero, got alpha={a!r}, beta={b!r}")
+        # one check of the variance scale rejects inf, nan, and weights
+        # whose squares overflow
+        if not (math.isfinite(a * a + b * b) and min(a, b) >= 0.0 and (a or b)):
+            raise ValueError("weights alpha and beta must be nonnegative, not both "
+                             "zero, and have a finite alpha^2 + beta^2, got "
+                             f"alpha={a!r}, beta={b!r}")
 
     @staticmethod
     def bm() -> "CovarianceModel":
@@ -163,9 +165,12 @@ def jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float] | None:
 
     The bare factorization is tried first; a failed one retries with
     jitter = eps * |mean(diag a)|, eps escalating through JITTER_LADDER
-    (1e-12 -> 1e-8 by factors of ten).  Returns None beyond the top rung, so
-    each caller raises its own error.
+    (1e-12 -> 1e-8 by factors of ten).  Returns None for a matrix with a
+    non-finite entry (an overflowed Gram) and beyond the top rung, so each
+    caller raises its own error.
     """
+    if not np.isfinite(a).all():
+        return None
     scale = abs(float(np.mean(np.diag(a)))) or 1.0
     for eps in (0.0, *JITTER_LADDER):
         try:
@@ -221,18 +226,20 @@ def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramContext:
     ill-conditioned.
     """
     t = grid.times
-    sigma = covariance(model, t[:, None], t[None, :])
-    sigma = np.asarray(sigma, dtype=float)
-    # Exact symmetry: the formula is symmetric, but guard against any
-    # asymmetric rounding in vectorized evaluation.
-    sigma = 0.5 * (sigma + sigma.T)
-    factored = jittered_cholesky(sigma)
-    if factored is None:
-        raise IllConditionedModelError(
-            f"Gram matrix of {model} on n={grid.n} grid is not "
-            f"factorizable within the jitter ladder (top eps=1e-8)",
-            jitter=JITTER_LADDER[-1] * float(np.mean(np.diag(sigma))),
-        )
+    # An entry that overflows is not warned about: it fails the factorization.
+    with np.errstate(over="ignore"):
+        sigma = covariance(model, t[:, None], t[None, :])
+        sigma = np.asarray(sigma, dtype=float)
+        # Exact symmetry: the formula is symmetric, but guard against any
+        # asymmetric rounding in vectorized evaluation.
+        sigma = 0.5 * (sigma + sigma.T)
+        factored = jittered_cholesky(sigma)
+        if factored is None:
+            raise IllConditionedModelError(
+                f"Gram matrix of {model} on n={grid.n} grid is not finite or not "
+                f"factorizable within the jitter ladder (top eps=1e-8)",
+                jitter=JITTER_LADDER[-1] * float(np.mean(np.diag(sigma))),
+            )
     chol, jitter = factored
     if jitter > 0.0:
         sigma = sigma + jitter * np.eye(grid.n)

@@ -124,6 +124,8 @@ def test_bad_value_exits_one() -> None:
     ("simulate", "--set", "horizon=1e400"),
     ("mixed", "--set", "alpha=inf"),
     ("mixed", "--set", "beta=nan"),
+    # finite, but its square overflows
+    ("mixed", "--set", "alpha=1e200"),
     # one grid size cannot show refinement
     ("factorize", "--set", "functional=quadratic", "--set", "grid_sweep=32"),
 ])
@@ -201,6 +203,19 @@ def test_out_of_memory_exits_two_with_one_line(tmp_path, capsys) -> None:
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("roughcalc: out of memory: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_gram_exits_two_with_one_line(tmp_path, capsys) -> None:
+    # beta^2 is finite, but the Gram symmetrization overflows to inf
+    rc = run_cli("mixed", "--set", "beta=1e154", "--grid-n", "8", "--paths",
+                 "1000", "--out-dir", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("roughcalc: numerical error: ")
     assert not any(tmp_path.iterdir())
 
 

@@ -105,6 +105,8 @@ def test_gubinelli_exact_for_brownian_linear() -> None:
     for row in rep.results:
         assert row["rel_l2_pairing"] <= 1e-8
         assert row["corr_predictions"] >= 1.0 - 1e-10
+        # Brownian increments after s are orthogonal to the prefix
+        assert row["projected_pairing_rms"] == 0.0
 
 
 def test_gubinelli_rough_records_agreement() -> None:

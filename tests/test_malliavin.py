@@ -210,14 +210,43 @@ def test_innovation_directions_orthogonal_to_prefix() -> None:
         assert np.max(np.abs(np.tril(w @ ctx.sigma, -1))) <= 1e-10
 
 
-def test_predictable_projection_single_prefix_contract() -> None:
-    ctx = make_ctx()
-    fn = make_functional("quadratic", ctx.grid)
-    p = predictable_projection(ctx, fn, 4, np.array([0.1, 0.2, -0.1, 0.4]))
-    assert p.shape == (ctx.n,)
-    assert np.all(p[4:] == 0.0)
-    with pytest.raises(ValueError):
-        predictable_projection(ctx, fn, 4, np.zeros((2, 4)))
+def test_predictable_projection_batched_factored_contract() -> None:
+    # (G, B): G is the conditional gradient, B the regression coefficients,
+    # and row r of G B^T is the single-prefix coefficient table beta @ cond
+    ctx = make_ctx(h=0.25, n=8)
+    fn = make_functional("integral_sin", ctx.grid)
+    paths = sample_ensemble(ctx, 6, seed=21).paths
+    j = 4
+    g, b = predictable_projection(ctx, fn, j, paths)
+    beta, _ = regression_coefficients(ctx, j, np.array(fn.indices))
+    assert np.array_equal(g, conditional_gradient(ctx, fn, j, paths))
+    assert np.array_equal(b, beta)
+    assert g.shape == (6, fn.k) and b.shape == (j, fn.k)
+    table = g @ b.T
+    for r in range(paths.shape[0]):
+        want = beta @ conditional_gradient(ctx, fn, j, paths[r:r + 1, :j])[0]
+        assert np.linalg.norm(table[r] - want) <= 1e-14 * np.linalg.norm(want)
+    # nothing observed: B has no rows, so the projection is empty
+    g0, b0 = predictable_projection(ctx, fn, 0, paths)
+    assert b0.shape == (0, fn.k) and g0.shape == (6, fn.k)
+
+
+def test_predictable_projection_of_coupled_functional(monkeypatch) -> None:
+    # a functional without diagonal maps goes through the quadrature branch
+    ctx = make_ctx(h=0.25, n=8)
+    fn = CylindricalFunctional(
+        name="product", indices=(2, 6), f=lambda x: x[..., 0] * x[..., 1],
+        grad=lambda x: x[..., ::-1])
+    calls = []
+    real = malliavin.conditional_expectation
+    monkeypatch.setattr(malliavin, "conditional_expectation",
+                        lambda *a: calls.append(1) or real(*a))
+    paths = sample_ensemble(ctx, 3, seed=22).paths
+    g, b = predictable_projection(ctx, fn, 4, paths)
+    assert len(calls) == 3 * fn.k
+    beta, _ = regression_coefficients(ctx, 4, np.array(fn.indices))
+    assert np.array_equal(b, beta)
+    assert np.max(np.abs(g - (paths[:, :4] @ beta)[:, ::-1])) <= 1e-12
 
 
 def test_clark_field_is_predictable() -> None:

@@ -124,6 +124,8 @@ def test_hurst_validation() -> None:
 
 @pytest.mark.parametrize("alpha, beta", [
     (-0.5, 1.0), (0.0, 0.0), (float("inf"), 1.0), (1.0, float("nan")),
+    # finite, but alpha^2 overflows
+    (1e200, 1.0),
 ])
 def test_weight_validation(alpha: float, beta: float) -> None:
     with pytest.raises(ValueError):

@@ -10,6 +10,11 @@ digests match:
 
     python3 tools/report_digest.py > digest.txt
 
+Every run is pinned to one BLAS thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1): a few reports differ at
+roundoff between BLAS thread counts, so digests from machines with
+different core counts compare only at a fixed count.
+
 The run takes a few minutes on two cores; stderr (wall-clock timings) is
 not digested.
 """
@@ -60,7 +65,8 @@ def _sha(data: bytes) -> str:
 
 
 def _run(cmd: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, check=False)
 
 
