@@ -10,7 +10,8 @@ Exit codes:
     0  every asserted check passed
     1  usage or configuration error
     2  numerical environment error (ill-conditioned model beyond the
-       jitter ladder, unwritable output path, out of memory)
+       jitter ladder, a non-finite sample moment, unwritable output path,
+       out of memory)
     3  at least one asserted check failed
 """
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+import numpy as np
 
 from . import experiments
 from .config import ExperimentConfig, load_config
@@ -40,7 +43,7 @@ _EXPERIMENTS = {
                  experiments.run_isometry_defect),
     "lemma": ("adapted projection route agreement",
               experiments.run_projection_lemma),
-    "mixed": ("componentwise calculus for mixed processes",
+    "mixed": ("componentwise adjointness on any model",
               experiments.run_mixed),
 }
 
@@ -165,12 +168,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 1
+    # overflow to inf and inf * 0 stay silent: a non-finite sample moment
+    # raises IllConditionedModelError, reported below in one line
     try:
-        if args.command == "list":
-            return _run_list()
-        if args.command == "verify-all":
-            return _run_verify_all(args)
-        return _run_single(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "list":
+                return _run_list()
+            if args.command == "verify-all":
+                return _run_verify_all(args)
+            return _run_single(args)
     except ConfigError as exc:
         print(f"roughcalc: config error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ class ConfigError(RoughCalcError, ValueError):
 
 
 class IllConditionedModelError(RoughCalcError):
-    """Gram matrix could not be factorized even at the top of the jitter ladder."""
+    """Gram matrix could not be factorized even at the top of the jitter
+    ladder, or a sample moment of a statistical check is not finite."""
 
     def __init__(self, message: str, jitter: float | None = None):
         super().__init__(message)

@@ -12,6 +12,9 @@ regimes:
   of the linear functional, pathwise divergence formulas) use absolute
   tolerances.
 
+Every statistical driver runs on every model, mixtures included, with X's
+own Gram as the conditioning geometry.
+
 Every report embeds the effective config and is byte-identical under rerun
 with the same seed, for any worker count: randomness is keyed by (seed,
 stream, chunk) only, and wall-clock time never enters a report.
@@ -37,7 +40,7 @@ from scipy.special import kolmogorov, ndtr
 from .config import ExperimentConfig, float_label
 from .energy import (GramContext, increment_element, inner_product, project_adapted,
                      representer)
-from .errors import ConfigError
+from .errors import ConfigError, IllConditionedModelError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
 from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, conditional_law,
                        sample_ensemble, sample_ensemble_circulant, write_ensemble)
@@ -85,6 +88,9 @@ _BM_PROJECTION_TOL = 1e-12
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise IllConditionedModelError("a sample moment is not finite: the model's "
+                                       "variance scale overflows a functional or field")
     m = x.size
     se = float(np.std(x, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     return float(np.mean(x)), se
@@ -118,10 +124,9 @@ def _sigma_units(gap: float, se: float) -> float:
 
 
 def _setup(cfg: ExperimentConfig, n: int | None = None):
-    """Gram context and primary-stream ensemble of a statistical bm/fbm run."""
+    """Gram context and primary-stream ensemble of a statistical run, in the
+    geometry of X itself: the mixture's Gram for a mixture."""
     cfg.require_statistical()
-    if cfg.model == "mixed":
-        raise ConfigError("this experiment runs on bm/fbm; use the mixed subcommand")
     ctx = GramContext.build(cfg.covariance_model(), cfg.grid(n))
     return ctx, sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                                 workers=cfg.workers)
@@ -162,8 +167,7 @@ def _clark_residual(ctx: GramContext, fn: CylindricalFunctional,
     return _mean_se((fn.values(paths) - mean - delta) ** 2)
 
 
-def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields,
-                  kind: str | None = None) -> float:
+def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields) -> float:
     """One row per catalog functional x field: E[F delta(u)] against
     E[<DF, u>] at 3 combined SE; returns the worst sigma.
 
@@ -173,8 +177,7 @@ def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields,
     mixture.  delta(u) and <DF, u> are sums over the parts, started from 0.
     Each gradient is computed once and each field's coefficient table once,
     one field at a time; rows are added functional by functional.  Every row
-    carries the paired SE of the per-path gap; rows with a ``kind`` (the
-    mixed report) lead with it.
+    carries the paired SE of the per-path gap.
     """
     fns = [make_functional(name, parts[0][0].grid) for name in catalog_names()]
     values = [fn.values(paths) for fn in fns]
@@ -198,12 +201,11 @@ def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields,
             se_combined = math.hypot(lhs_se, rhs_se)
             sigma = _sigma_units(gap, se_combined)
             worst = max(worst, sigma)
-            row = {} if kind is None else {"kind": kind}
-            row.update(functional=fn.name, field=field_name, lhs_mean=lhs_mean,
-                       lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap,
-                       gap_se=_mean_se(lhs - rhs)[1], se_combined=se_combined,
-                       passed=bool(sigma <= 3.0))
-            fn_rows.append(row)
+            fn_rows.append(dict(
+                functional=fn.name, field=field_name, lhs_mean=lhs_mean,
+                lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se, gap=gap,
+                gap_se=_mean_se(lhs - rhs)[1], se_combined=se_combined,
+                passed=bool(sigma <= 3.0)))
     for row in (row for fn_rows in rows for row in fn_rows):
         report.add(**row)
     return worst
@@ -737,37 +739,29 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
 
 
 def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
-    """Componentwise adjointness and factorization for X = alpha B + beta B^H.
+    """Componentwise adjointness for X = alpha B + beta B^H, on any model.
 
-    Divergence and pairing act per component with chain-rule weights; the
-    conditioning filtration is that of X itself.  Components with weight
-    exactly zero are dropped, so beta = 0 reproduces the Brownian pipeline
-    bit for bit (the B block consumes each chunk's leading normal draws)
-    and alpha = 0 matches the fractional pipeline in distribution.
+    The weights and H are the configured model's: bm is B with weight 1,
+    fbm is B^H with weight 1.  Divergence and pairing act per component
+    with chain-rule weights; the coefficient rules read X.  Components with
+    weight exactly zero are dropped, so beta = 0 reproduces the Brownian
+    pipeline bit for bit (the B block consumes each chunk's leading normal
+    draws) and alpha = 0 matches the fractional pipeline in distribution.
+    The mixture's Clark residual, taken in the X geometry, is
+    ``run_factorization`` with model=mixed.
     """
     cfg.require_statistical()
-    if cfg.model != "mixed":
-        raise ConfigError("run_mixed needs model=mixed")
     grid = cfg.grid()
-    mctx = MixedContext.build(cfg.alpha, cfg.beta, cfg.hurst, grid)
+    model = cfg.covariance_model()
+    mctx = MixedContext.build(model.alpha, model.beta, model.hurst, grid)
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
     report = _report(cfg, "mixed", grid.n)
     parts = [(ctx, own, weight) for ctx, own, weight in (
         (mctx.ctx_b, ens.paths_b, mctx.alpha), (mctx.ctx_h, ens.paths_h, mctx.beta))
         if weight != 0.0]
-    worst = _duality_rows(report, ens.paths_x, parts, _test_fields(mctx.ctx_x),
-                          kind="adjointness")
-    # The Clark pair of the components sums to the Clark field of X itself
-    # (see mixed_clark_fields), so the residual is taken in the X geometry;
-    # as in run_factorization, the linear functional is exact at every H and
-    # every weight pair.
-    residual, se = _clark_residual(mctx.ctx_x, make_functional(cfg.functional, grid),
-                                   ens.paths_x)
-    ok = cfg.functional != "linear" or residual <= _EXACT_RESIDUAL_TOL
-    report.add(kind="clark_residual", functional=cfg.functional, residual=residual,
-               se=se, passed=bool(ok))
-    return _summarize(report, alpha=cfg.alpha, beta=cfg.beta,
+    worst = _duality_rows(report, ens.paths_x, parts, _test_fields(mctx.ctx_x))
+    return _summarize(report, alpha=mctx.alpha, beta=mctx.beta,
                       rows=len(report.results), max_sigma=worst,
                       jitter_x=mctx.ctx_x.jitter)
 
@@ -821,7 +815,7 @@ def _compare_rows(pure: ExperimentReport, mixed: ExperimentReport,
     ok = True
     for row in mixed.results:
         ref = pure_rows.get((row.get("functional"), row.get("field")))
-        if row.get("kind") != "adjointness" or ref is None:
+        if ref is None:
             continue
         checked += 1
         for side in ("lhs", "rhs"):
@@ -863,7 +857,7 @@ _SUITE = {
     "sampler_cross_h025": (run_simulate, dict(model="fbm", hurst=0.25, grid_n=64)),
     "sampler_cross_h040": (run_simulate, dict(model="fbm", hurst=0.4, grid_n=64)),
     "mixed_adjointness": (run_mixed, _MIXED_32),
-    "mixed_beta0": (run_mixed, dict(_MIXED_32, beta=0.0, functional="linear")),
+    "mixed_beta0": (run_mixed, dict(_MIXED_32, beta=0.0)),
     "mixed_alpha0": (run_mixed, dict(_MIXED_32, alpha=0.0)),
 }
 
@@ -890,12 +884,6 @@ def verify_all(cfg: ExperimentConfig) -> tuple[list[ExperimentReport], Experimen
 
     deg_b0 = _compare_rows(reports["adjointness_bm"], reports["mixed_beta0"],
                            exact=True)
-    b0_residual = next(r for r in reports["mixed_beta0"].results
-                       if r.get("kind") == "clark_residual")
-    bm_residual = reports["factorization_exact_bm"].results[0]
-    resid_gap = abs(b0_residual["residual"] - bm_residual["residual"])
-    deg_b0["clark_residual_gap"] = resid_gap
-    deg_b0["passed"] = bool(deg_b0["passed"] and resid_gap <= 1e-12)
     criteria.append({"check": "degeneration_beta0", **deg_b0})
     deg_a0 = _compare_rows(reports["adjointness_h025"], reports["mixed_alpha0"],
                            exact=False)

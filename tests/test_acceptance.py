@@ -220,20 +220,21 @@ def test_criterion_09_mixed_process(announce) -> None:
     adj_fbm = run_adjointness(base)
     mixed_b0 = run_mixed(cfg_with(model="mixed", alpha=1.0, beta=0.0,
                                   hurst=0.25, grid_n=32, paths=20_000,
-                                  seed=42, functional="linear"))
+                                  seed=42))
     mixed_a0 = run_mixed(cfg_with(model="mixed", alpha=0.0, beta=1.0,
                                   hurst=0.25, grid_n=32, paths=20_000,
                                   seed=42))
     deg_b0 = _compare_rows(adj_bm, mixed_b0, exact=True)
     deg_a0 = _compare_rows(adj_fbm, mixed_a0, exact=False)
-    bm_exact = run_factorization(dataclasses.replace(
-        base, model="bm", functional="linear", grid_sweep=(32,)))
-    b0_resid = next(r for r in mixed_b0.results
-                    if r.get("kind") == "clark_residual")["residual"]
-    resid_gap = abs(b0_resid - bm_exact.results[0]["residual"])
+    # the (1, 0) mixture's Clark residual is bm's, bit for bit
+    exact = dict(functional="linear", grid_sweep=(32,))
+    bm_exact = run_factorization(dataclasses.replace(base, model="bm", **exact))
+    b0_exact = run_factorization(dataclasses.replace(
+        base, model="mixed", alpha=1.0, beta=0.0, **exact))
     elapsed = time.perf_counter() - start
     ok = (rep_11.passed and deg_b0["passed"] and deg_a0["passed"]
-          and resid_gap <= 1e-12 and elapsed < 120.0)
+          and b0_exact.passed and b0_exact.results == bm_exact.results
+          and elapsed < 120.0)
     announce(
         9, ok,
         f"mixed componentwise {rep_11.summary['max_sigma']:.2f} sigma <= 3; "

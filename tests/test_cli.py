@@ -219,6 +219,24 @@ def test_overflowing_gram_exits_two_with_one_line(tmp_path, capsys) -> None:
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # exp of a variance of 1e300 in the terminal_exp functional
+    ("mixed", "--set", "beta=1e150"),
+    # inf * 0 in the pairing of the same functional
+    ("adjointness", "--set", "model=bm", "--set", "horizon=1e6"),
+])
+def test_non_finite_moment_exits_two_with_one_line(argv, tmp_path, capsys) -> None:
+    rc = run_cli(*argv, "--grid-n", "8", "--paths", "1000", "--out-dir",
+                 str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("roughcalc: numerical error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_repeat_runs_byte_identical(tmp_path) -> None:
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d, workers in ((d1, "1"), (d2, "3")):

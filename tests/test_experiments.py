@@ -215,12 +215,12 @@ def _duality_sides(monkeypatch, run, cfg) -> dict:
     seen = {}
     rows, mean_se = experiments._duality_rows, experiments._mean_se
 
-    def capture(report, paths, parts, fields, kind=None):
+    def capture(report, paths, parts, fields):
         means = []
         monkeypatch.setattr(experiments, "_mean_se",
                             lambda x: means.append(x) or mean_se(x))
         try:
-            worst = rows(report, paths, parts, fields, kind)
+            worst = rows(report, paths, parts, fields)
         finally:
             monkeypatch.setattr(experiments, "_mean_se", mean_se)
         # each row takes the mean of lhs, of rhs and of lhs - rhs
@@ -344,16 +344,20 @@ def test_simulate_mixed_model() -> None:
     assert one.summary["samplers"] == ["cholesky", "circulant"]
 
 
-def test_mixed_requires_mixed_model() -> None:
-    with pytest.raises(ConfigError):
-        run_mixed(small(model="fbm"))
+def test_mixed_on_bm_reproduces_adjointness() -> None:
+    # bm is the mixture with the single part B of weight 1
+    pure = run_adjointness(small(model="bm"))
+    mixed = run_mixed(small(model="bm"))
+    assert len(pure.results) == 18
+    # every column, lhs_mean, rhs_mean and gap_se included, under ==
+    assert mixed.results == pure.results
+    assert (mixed.summary["alpha"], mixed.summary["beta"]) == (1.0, 0.0)
 
 
 def test_mixed_small() -> None:
     rep = run_mixed(small(model="mixed", alpha=1.0, beta=1.0, paths=8_000))
     assert rep.passed
-    kinds = {row.get("kind") for row in rep.results}
-    assert kinds == {"adjointness", "clark_residual"}
+    assert rep.summary["rows"] == len(rep.results) == 18
     assert rep.summary["failures"] == 0
 
 
@@ -363,10 +367,8 @@ def test_mixed_gap_se_at_beta_zero_matches_brownian_run() -> None:
     pure = run_adjointness(small(model="bm", paths=4_000))
     mixed = run_mixed(small(model="mixed", alpha=1.0, beta=0.0, paths=4_000))
     ref = {(r["functional"], r["field"]): r["gap_se"] for r in pure.results}
-    rows = [r for r in mixed.results if r["kind"] == "adjointness"]
-    assert len(rows) == len(ref)
-    for row in rows:
-        assert next(iter(row)) == "kind"
+    assert len(mixed.results) == len(ref)
+    for row in mixed.results:
         assert row["gap_se"] == ref[(row["functional"], row["field"])]
 
 
@@ -374,11 +376,25 @@ def test_mixed_gap_se_at_beta_zero_matches_brownian_run() -> None:
                          ids=["beta0", "alpha0", "general"])
 def test_mixed_beta_zero_exact_linear(alpha: float, beta: float) -> None:
     # the linear Clark residual is exact for every weight pair, not only beta = 0
-    rep = run_mixed(small(model="mixed", alpha=alpha, beta=beta,
-                          functional="linear", paths=4_000))
+    rep = run_factorization(small(model="mixed", alpha=alpha, beta=beta,
+                                  functional="linear", grid_sweep=(8,),
+                                  paths=4_000))
     assert rep.passed
-    resid = [r for r in rep.results if r.get("kind") == "clark_residual"][0]
-    assert resid["residual"] <= 1e-20
+    assert rep.summary["exact_case"]
+    assert rep.results[0]["residual"] <= 1e-20
+
+
+@pytest.mark.parametrize("run, kw", [
+    (run_adjointness, {}),
+    (run_isometry_defect, dict(paths=20_000)),
+    (run_remainder_scaling, dict(grid_n=64, paths=20_000)),
+    (run_gubinelli_compare, dict(grid_n=32)),
+    (run_factorization, dict(paths=20_000, grid_sweep=(8, 16, 32))),
+], ids=["adjointness", "isometry", "remainder", "gubinelli", "factorize"])
+def test_drivers_run_on_a_mixture(run, kw) -> None:
+    # every statistical driver conditions in the mixture's own geometry
+    rep = run(small(model="mixed", alpha=1.0, beta=1.0, hurst=0.25, **kw))
+    assert rep.passed
 
 
 def test_verify_all_writes_and_passes(tmp_path) -> None:
@@ -403,7 +419,7 @@ def test_verify_all_summary_name_carries_mixed_weights(monkeypatch) -> None:
     # own naming is exercised
     def stub(cfg):
         rep = experiments._report(cfg, "stub", cfg.grid_n)
-        rep.add(kind="clark_residual", residual=0.0, passed=True)
+        rep.add(residual=0.0, passed=True)
         return rep
 
     monkeypatch.setattr(experiments, "_SUITE", {

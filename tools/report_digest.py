@@ -57,6 +57,18 @@ CONFIGS = (
     ("mixed", "--set", "beta=0", "--set", "functional=linear", "--grid-n", "16"),
     # several row blocks per sampler chunk
     ("mixed", "--grid-n", "128"),
+    # every driver on a mixture, and the mixed driver on bm
+    ("adjointness", "--set", "model=mixed"),
+    ("isometry", "--set", "model=mixed"),
+    ("remainder", "--set", "model=mixed"),
+    ("gubinelli", "--set", "model=mixed"),
+    ("factorize", "--set", "model=mixed", "--set", "alpha=0.7", "--set", "beta=1.2",
+     "--set", "functional=linear"),
+    ("mixed", "--set", "model=bm"),
+    # non-finite sample moments: one error line and exit 2, no report
+    ("mixed", "--set", "beta=1e150", "--grid-n", "8", "--paths", "1000"),
+    ("adjointness", "--set", "model=bm", "--set", "horizon=1e6", "--grid-n", "8",
+     "--paths", "1000"),
 )
 
 
