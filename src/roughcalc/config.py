@@ -7,7 +7,6 @@ configuration errors, reported before any computation starts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -47,22 +46,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("bm", "fbm", "mixed"):
             raise ConfigError(f"model must be bm|fbm|mixed, got {self.model!r}")
+        # the model and the grids validate themselves; the uniform sizes are
+        # checked even when explicit times override them
         try:
             self.covariance_model()
+            for n in (self.grid_n, *self.grid_sweep):
+                TimeGrid.uniform_grid(n, self.horizon)
             if self.times:
                 TimeGrid(self.times, self.horizon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed!r}")
-        if self.grid_n < 1:
-            raise ConfigError("grid_n must be >= 1")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
-        if any(n < 1 for n in self.grid_sweep):
-            raise ConfigError(f"grid_sweep sizes must be >= 1, got {list(self.grid_sweep)}")
         if self.functional not in catalog_names():
             raise ConfigError(f"unknown functional {self.functional!r}; "
                               f"choose from {', '.join(catalog_names())}")
@@ -88,9 +85,6 @@ class ExperimentConfig:
                 f"statistical experiments need paths >= {MIN_STATISTICAL_PATHS}, "
                 f"got {self.paths}"
             )
-
-    def hurst_label(self) -> str:
-        return float_label(self.covariance_model().hurst)
 
     # Execution details, not experiment definition: reports must be
     # byte-identical across worker counts and output locations.

@@ -18,10 +18,6 @@ class IllConditionedModelError(RoughCalcError):
     """Gram matrix could not be factorized even at the top of the jitter
     ladder, or a sample moment of a statistical check is not finite."""
 
-    def __init__(self, message: str, jitter: float | None = None):
-        super().__init__(message)
-        self.jitter = jitter
-
 
 class UnsupportedDimensionError(RoughCalcError):
     """Quadrature requested over more future coordinates than supported."""

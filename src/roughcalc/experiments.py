@@ -149,7 +149,7 @@ def _report(cfg: ExperimentConfig, experiment: str, n: int) -> ExperimentReport:
         experiment=experiment,
         config=cfg.echo(),
         model=model,
-        hurst_label=cfg.hurst_label(),
+        hurst_label=float_label(cfg.covariance_model().hurst),
         grid_label=n,
         seed=cfg.seed,
     )
@@ -698,18 +698,14 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     The optional export writes the dense ensemble in the binary format,
     before the circulant draw, so that one ensemble is held at a time.
     """
-    cfg.require_statistical()
-    grid = cfg.grid()
-    report = _report(cfg, "simulate", grid.n)
-    ctx = GramContext.build(cfg.covariance_model(), grid)
-    dense = sample_ensemble(ctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
-                            workers=cfg.workers)
+    ctx, dense = _setup(cfg)
+    report = _report(cfg, "simulate", ctx.n)
     rows = [_sampler_stats(ctx, dense)]
     if export_path is not None:
         write_ensemble(export_path, dense)
     del dense  # one ensemble in memory at a time
     min_eig_ratio = None
-    if grid.uniform and not (ctx.model.alpha and ctx.model.beta):
+    if ctx.grid.uniform and not (ctx.model.alpha and ctx.model.beta):
         circ = sample_ensemble_circulant(ctx, cfg.paths, cfg.seed,
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
@@ -751,12 +747,10 @@ def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
     ``run_factorization`` with model=mixed.
     """
     cfg.require_statistical()
-    grid = cfg.grid()
-    model = cfg.covariance_model()
-    mctx = MixedContext.build(model.alpha, model.beta, model.hurst, grid)
+    mctx = MixedContext.build(cfg.covariance_model(), cfg.grid())
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
-    report = _report(cfg, "mixed", grid.n)
+    report = _report(cfg, "mixed", mctx.ctx_x.n)
     parts = [(ctx, own, weight) for ctx, own, weight in (
         (mctx.ctx_b, ens.paths_b, mctx.alpha), (mctx.ctx_h, ens.paths_h, mctx.beta))
         if weight != 0.0]

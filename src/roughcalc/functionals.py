@@ -249,29 +249,28 @@ def discretize_integral_functional(
     )
 
 
-def gradient_check(
-    fn: CylindricalFunctional,
-    points: int = 100,
-    step: float = 1e-5,
-    seed: int = 0,
-    box: float = 3.0,
-) -> float:
+# Central-difference step and the half-width of the box of test points.
+_FD_STEP = 1e-5
+_FD_BOX = 3.0
+
+
+def gradient_check(fn: CylindricalFunctional, points: int = 100, seed: int = 0) -> float:
     """Max relative error of ``grad`` against central differences.
 
-    Points are drawn uniformly from [-box, box]^k.  Relative scaling uses
-    max(1, |analytic|) per component so near-zero gradient entries are
+    Points are drawn uniformly from [-_FD_BOX, _FD_BOX]^k.  Relative scaling
+    uses max(1, |analytic|) per component so near-zero gradient entries are
     compared absolutely.
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, size=(points, fn.k))
+    x = rng.uniform(-_FD_BOX, _FD_BOX, size=(points, fn.k))
     analytic = fn.grad_at(x)
     worst = 0.0
     for i in range(fn.k):
         hi = x.copy()
         lo = x.copy()
-        hi[:, i] += step
-        lo[:, i] -= step
-        fd = (np.asarray(fn.f(hi)) - np.asarray(fn.f(lo))) / (2.0 * step)
+        hi[:, i] += _FD_STEP
+        lo[:, i] -= _FD_STEP
+        fd = (np.asarray(fn.f(hi)) - np.asarray(fn.f(lo))) / (2.0 * _FD_STEP)
         err = np.abs(fd - analytic[:, i]) / np.maximum(1.0, np.abs(analytic[:, i]))
         worst = max(worst, float(err.max()))
     return worst

@@ -43,23 +43,28 @@ __all__ = ["MixedContext", "MixedEnsemble", "mixed_divergence", "mixed_pairing",
 
 @dataclass(frozen=True)
 class MixedContext:
-    """Gram contexts for the two components and for the observable mixture."""
+    """Gram contexts for the two components and for the observable mixture;
+    the weights are the mixture model's."""
 
-    alpha: float
-    beta: float
     ctx_b: GramContext   # Brownian component
     ctx_h: GramContext   # fractional component
     ctx_x: GramContext   # mixture itself (conditioning filtration)
 
     @staticmethod
-    def build(alpha: float, beta: float, hurst: float, grid: TimeGrid) -> "MixedContext":
+    def build(model: CovarianceModel, grid: TimeGrid) -> "MixedContext":
         return MixedContext(
-            alpha=float(alpha),
-            beta=float(beta),
             ctx_b=GramContext.build(CovarianceModel.bm(), grid),
-            ctx_h=GramContext.build(CovarianceModel.fbm(hurst), grid),
-            ctx_x=GramContext.build(CovarianceModel(alpha, beta, hurst), grid),
+            ctx_h=GramContext.build(CovarianceModel.fbm(model.hurst), grid),
+            ctx_x=GramContext.build(model, grid),
         )
+
+    @property
+    def alpha(self) -> float:
+        return self.ctx_x.model.alpha
+
+    @property
+    def beta(self) -> float:
+        return self.ctx_x.model.beta
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ class CovarianceModel:
     covariances add: R = alpha^2 * min(t, s) + beta^2 * R_H(t, s).
 
     The one validator of model parameters: H in (0, 1), weights nonnegative,
-    not both zero, and with alpha^2 + beta^2 finite.
+    not both zero, and with alpha^2 + beta^2 finite.  All three are stored
+    as floats.
     """
 
     alpha: float
@@ -58,17 +59,21 @@ class CovarianceModel:
     hurst: float
 
     def __post_init__(self):
-        h = float(self.hurst)
+        try:
+            a, b, h = float(self.alpha), float(self.beta), float(self.hurst)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"model parameters must be finite floats: {exc}") from exc
         if not 0.0 < h < 1.0:
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {h!r}")
-        object.__setattr__(self, "hurst", h)
-        a, b = self.alpha, self.beta
         # one check of the variance scale rejects inf, nan, and weights
         # whose squares overflow
         if not (math.isfinite(a * a + b * b) and min(a, b) >= 0.0 and (a or b)):
             raise ValueError("weights alpha and beta must be nonnegative, not both "
                              "zero, and have a finite alpha^2 + beta^2, got "
                              f"alpha={a!r}, beta={b!r}")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "hurst", h)
 
     @staticmethod
     def bm() -> "CovarianceModel":
@@ -108,6 +113,13 @@ def increment_variance(model: CovarianceModel, s: float, t: float) -> float:
     )
 
 
+def _valid_horizon(horizon) -> float:
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    return horizon
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing finite times 0 < t_1 < ... < t_N <= horizon < inf.
@@ -122,9 +134,7 @@ class TimeGrid:
     uniform: bool = field(init=False)
 
     def __post_init__(self):
-        horizon = float(self.horizon)
-        if not 0.0 < horizon < math.inf:
-            raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+        horizon = _valid_horizon(self.horizon)
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("grid must be a nonempty 1-d array of times")
@@ -148,7 +158,9 @@ class TimeGrid:
     def uniform_grid(n: int, horizon: float = 1.0) -> "TimeGrid":
         """n equally spaced points horizon/n, ..., horizon."""
         if n < 1:
-            raise ValueError("grid size must be >= 1")
+            raise ValueError(f"grid size must be >= 1, got {n!r}")
+        # checked before linspace, which warns on an infinite horizon
+        horizon = _valid_horizon(horizon)
         return TimeGrid(np.linspace(horizon / n, horizon, n), horizon)
 
     @property
@@ -237,9 +249,7 @@ def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramContext:
         if factored is None:
             raise IllConditionedModelError(
                 f"Gram matrix of {model} on n={grid.n} grid is not finite or not "
-                f"factorizable within the jitter ladder (top eps=1e-8)",
-                jitter=JITTER_LADDER[-1] * float(np.mean(np.diag(sigma))),
-            )
+                f"factorizable within the jitter ladder (top eps=1e-8)")
     chol, jitter = factored
     if jitter > 0.0:
         sigma = sigma + jitter * np.eye(grid.n)

@@ -20,8 +20,8 @@ import numpy as np
 
 SPEC_VERSION = "1.0"
 
-__all__ = ["ExperimentReport", "render_json", "render_csv",
-           "report_basename", "write_report", "SPEC_VERSION"]
+__all__ = ["ExperimentReport", "render_json", "render_csv", "write_report",
+           "SPEC_VERSION"]
 
 
 def _normalize(obj):
@@ -107,13 +107,8 @@ class ExperimentReport:
         }
 
     def basename(self) -> str:
-        return report_basename(self.experiment, self.model, self.hurst_label,
-                               self.grid_label, self.seed)
-
-
-def report_basename(experiment: str, model: str, hurst_label: str, n: int,
-                    seed: int) -> str:
-    return f"{experiment}_{model}_{hurst_label}_{n}_{seed}"
+        return (f"{self.experiment}_{self.model}_{self.hurst_label}_"
+                f"{self.grid_label}_{self.seed}")
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> tuple[str, str]:

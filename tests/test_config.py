@@ -9,6 +9,7 @@ import pytest
 
 from roughcalc.config import DEFAULTS, ExperimentConfig, load_config, parse_config_text
 from roughcalc.errors import ConfigError
+from roughcalc.experiments import _report
 
 
 def test_defaults_are_valid() -> None:
@@ -74,6 +75,7 @@ def test_load_config_without_file_uses_defaults() -> None:
     assert cfg.model == DEFAULTS.model
 
 
+@pytest.mark.filterwarnings("error")
 def test_validation_errors() -> None:
     for kw in (
         dict(hurst=0.0),
@@ -91,6 +93,9 @@ def test_validation_errors() -> None:
         dict(horizon=0.0),
         dict(functional="nope"),
         dict(grid_sweep=(0, 8)),
+        # the uniform sizes are checked even when explicit times override them
+        dict(times=(0.5, 1.0), grid_n=0),
+        dict(times=(0.5, 1.0), grid_sweep=(8, 0)),
         dict(seed=-1),
         dict(seed=2**64),
         dict(horizon=float("inf")),
@@ -147,5 +152,5 @@ def test_statistical_floor() -> None:
 
 
 def test_hurst_label() -> None:
-    assert dataclasses.replace(DEFAULTS, model="bm").hurst_label() == "0.5"
-    assert dataclasses.replace(DEFAULTS, hurst=0.25).hurst_label() == "0.25"
+    assert _report(dataclasses.replace(DEFAULTS, model="bm"), "x", 8).hurst_label == "0.5"
+    assert _report(dataclasses.replace(DEFAULTS, hurst=0.25), "x", 8).hurst_label == "0.25"

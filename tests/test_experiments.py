@@ -254,7 +254,7 @@ def test_adjointness_pairings_are_derivative_pairing_bitwise(monkeypatch) -> Non
 def test_mixed_pairings_are_mixed_pairing_bitwise(monkeypatch, alpha, beta) -> None:
     cfg = small(model="mixed", alpha=alpha, beta=beta)
     seen = _duality_sides(monkeypatch, run_mixed, cfg)
-    mctx = MixedContext.build(alpha, beta, cfg.hurst, cfg.grid())
+    mctx = MixedContext.build(cfg.covariance_model(), cfg.grid())
     ens = sample_mixed(mctx, cfg.paths, cfg.seed)
     assert np.array_equal(ens.paths_x, seen["paths"])
     for (u, fn), lhs, rhs in zip(seen["cases"], seen["lhs"], seen["rhs"]):

@@ -13,12 +13,12 @@ from roughcalc.gaussian import CHUNK_ROWS, expect_scalar, sample_ensemble
 from roughcalc.malliavin import clark_integrand, conditional_value, divergence
 from roughcalc.mixed import (MixedContext, mixed_clark_fields, mixed_divergence,
                              mixed_pairing, sample_mixed)
-from roughcalc.models import TimeGrid
+from roughcalc.models import CovarianceModel, TimeGrid
 
 
 def make_mctx(alpha: float = 1.0, beta: float = 1.0, h: float = 0.25,
               n: int = 8) -> MixedContext:
-    return MixedContext.build(alpha, beta, h, TimeGrid.uniform_grid(n))
+    return MixedContext.build(CovarianceModel(alpha, beta, h), TimeGrid.uniform_grid(n))
 
 
 def per_slot_grad_dot(ctx, fn, paths, v):

@@ -126,12 +126,22 @@ def test_hurst_validation() -> None:
     (-0.5, 1.0), (0.0, 0.0), (float("inf"), 1.0), (1.0, float("nan")),
     # finite, but alpha^2 overflows
     (1e200, 1.0),
+    # ints whose square, or whose float conversion, overflows
+    pytest.param(10**155, 1, id="int-square-overflows"),
+    pytest.param(1, 10**400, id="int-beyond-float"),
 ])
 def test_weight_validation(alpha: float, beta: float) -> None:
     with pytest.raises(ValueError):
         CovarianceModel(alpha, beta, 0.25)
 
 
+def test_weights_are_stored_as_floats() -> None:
+    model = CovarianceModel(1, 0, 0.5)
+    assert (model.alpha, model.beta, model.hurst) == (1.0, 0.0, 0.5)
+    assert all(type(w) is float for w in (model.alpha, model.beta))
+
+
+@pytest.mark.filterwarnings("error")
 def test_grid_rejects_zero_and_disorder() -> None:
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5]), horizon=1.0)
@@ -145,7 +155,8 @@ def test_grid_rejects_zero_and_disorder() -> None:
                            ([0.5], 0.0), ([0.5], -1.0)):
         with pytest.raises(ValueError):
             TimeGrid(np.array(times), horizon=horizon)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+    # rejected before linspace, which would warn on the infinite horizon
+    with pytest.raises(ValueError, match="horizon"):
         TimeGrid.uniform_grid(4, float("inf"))
 
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from roughcalc import reporting
 from roughcalc.config import DEFAULTS
-from roughcalc.reporting import (ExperimentReport, render_csv, render_json,
-                                 report_basename, write_report)
+from roughcalc.reporting import ExperimentReport, render_csv, render_json, write_report
 
 
 def _csv_cell(value) -> str:
@@ -142,9 +141,9 @@ def test_render_csv_column_union_and_blanks() -> None:
 
 
 def test_report_basename_layout() -> None:
-    assert report_basename("adjointness", "fbm", "0.25", 32, 42) == (
-        "adjointness_fbm_0.25_32_42"
-    )
+    report = ExperimentReport(experiment="adjointness", config={}, model="fbm",
+                              hurst_label="0.25", grid_label=32, seed=42)
+    assert report.basename() == "adjointness_fbm_0.25_32_42"
 
 
 def test_write_report_produces_both_files(tmp_path) -> None:

@@ -52,6 +52,8 @@ CONFIGS = (
     # unit horizon
     ("isometry", "--set", "horizon=2.5"),
     ("simulate", "--set", "model=mixed"),
+    # the circulant sampler's beta = 0 branch
+    ("simulate", "--set", "model=bm"),
     ("simulate", "--set", "times=0.1,0.25,0.5,0.9"),
     ("mixed", "--set", "alpha=0.7", "--set", "beta=1.2"),
     ("mixed", "--set", "beta=0", "--set", "functional=linear", "--grid-n", "16"),
