@@ -50,7 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import solve_triangular
+# numpy loads its random module on first use; every run draws, so load it
+# with the package rather than inside the first draw
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import IllConditionedModelError, UnsupportedDimensionError
 from .models import GramContext, jittered_cholesky
@@ -88,9 +90,9 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    def generator(self, chunk: int = 0) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, chunk))
-        return np.random.Generator(np.random.PCG64(ss))
+    def generator(self, chunk: int = 0) -> Generator:
+        ss = SeedSequence(entropy=self.seed, spawn_key=(self.stream, chunk))
+        return Generator(PCG64(ss))
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def regression_coefficients(
         raise ValueError(f"adapted index {j} out of range 0..{ctx.n}")
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
     chol = ctx.chol
-    beta = solve_triangular(chol[:j, :j], chol[idx, :j].T, lower=True, trans="T")
+    beta = ctx.chol_inv[:j, :j].T @ chol[idx, :j].T
     tail = chol[idx, j:]
     return beta, tail @ tail.T
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .energy import GramContext
 from .errors import MissingGradientError
@@ -317,9 +316,7 @@ def innovation_directions(ctx: GramContext) -> np.ndarray:
     H = 1/2 the projection is P_s k_{t_s} = k_{t_{s-1}} and these reduce to
     the raw increment directions.
     """
-    chol = ctx.chol
-    w = solve_triangular(chol, np.eye(ctx.n), lower=True)
-    w *= np.diag(chol)[:, None]
+    w = ctx.chol_inv * np.diag(ctx.chol)[:, None]
     np.fill_diagonal(w, 1.0)
     return w
 
@@ -392,7 +389,7 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     def grad_dot(paths, v):
         # column s of y is L^{-1} (v - w Sigma)[s]; its entries r < s give
         # the contraction sum_{r<s} L[i, r] y[r, s] per coordinate i
-        y = solve_triangular(chol, (v - w_sigma).T, lower=True)
+        y = ctx.chol_inv @ (v - w_sigma).T
         scal = gains * (rows @ np.triu(y, 1)).T
         if not scal.any():
             return np.zeros((np.atleast_2d(paths).shape[0], n))

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import IllConditionedModelError
 
@@ -199,7 +199,7 @@ class GramContext:
     ``sigma`` is the operative Gram R(t_i, t_j) + jitter * I, and ``chol``
     satisfies chol @ chol.T = sigma.  ``jitter`` is 0.0 when the bare
     factorization succeeded.  The factor of every leading block
-    sigma[:j, :j] is chol[:j, :j].
+    sigma[:j, :j] is chol[:j, :j], and its inverse is chol_inv[:j, :j].
     """
 
     model: CovarianceModel
@@ -218,8 +218,21 @@ class GramContext:
     def n(self) -> int:
         return self.sigma.shape[0]
 
+    @cached_property
+    def chol_inv(self) -> np.ndarray:
+        """L^{-1}, read-only, computed on first use and kept.
+
+        The inverse of a lower triangular matrix is lower triangular, and its
+        leading j x j block is the inverse of chol[:j, :j]; entries above the
+        diagonal are exactly 0.
+        """
+        inv = np.tril(np.linalg.inv(self.chol))
+        inv.setflags(write=False)
+        return inv
+
     def solve_leading(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve Sigma[:j, :j] y = rhs via the cached Cholesky block.
+        """Solve Sigma[:j, :j] y = rhs as L_j^{-T} (L_j^{-1} rhs), with
+        L_j^{-1} = chol_inv[:j, :j].
 
         rhs may be (j,) or (j, k); returns matching shape.
         """
@@ -227,9 +240,8 @@ class GramContext:
             raise ValueError(f"leading block size {j} out of range 0..{self.n}")
         if j == 0:
             return np.zeros_like(rhs)
-        block = self.chol[:j, :j]
-        half = solve_triangular(block, rhs, lower=True)
-        return solve_triangular(block, half, lower=True, trans="T")
+        block = self.chol_inv[:j, :j]
+        return block.T @ (block @ rhs)
 
 
 def build_gram(model: CovarianceModel, grid: TimeGrid) -> GramContext:

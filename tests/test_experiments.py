@@ -202,10 +202,27 @@ def test_ks_helper_matches_scipy_kstest(n: int) -> None:
 
     sample = 0.8 * np.random.default_rng(20261018).standard_normal(n)
     stat, pvalue = experiments._ks_normal(sample, 0.8)
-    ref = stats.kstest(sample, "norm", args=(0.0, 0.8))
+    # the same statistic as kstest against the helper's own normal cdf
+    ref = stats.kstest(sample, lambda x: experiments._normal_cdf(x / 0.8))
     assert stat == ref.statistic
     # asymptotic Kolmogorov p-value against kstest's exact one
+    ref = stats.kstest(sample, "norm", args=(0.0, 0.8))
     assert abs(pvalue - ref.pvalue) <= 0.05 * ref.pvalue
+
+
+def test_normal_cdf_matches_scipy_ndtr() -> None:
+    from scipy.special import ndtr
+
+    x = np.linspace(-40.0, 40.0, 400_001)
+    assert np.max(np.abs(experiments._normal_cdf(x) - ndtr(x))) <= 2.3e-16
+
+
+def test_kolmogorov_matches_scipy() -> None:
+    from scipy.special import kolmogorov
+
+    x = np.linspace(0.05, 4.0, 4001)
+    got = np.array([experiments._kolmogorov(v) for v in x])
+    assert np.max(np.abs(got - kolmogorov(x)) / kolmogorov(x)) <= 1e-13
 
 
 def _duality_sides(monkeypatch, run, cfg) -> dict:

@@ -201,3 +201,49 @@ def test_operative_sigma_includes_fired_jitter() -> None:
     assert 5e-13 < ctx.jitter < 6e-13
     assert np.array_equal(ctx.sigma, raw + ctx.jitter * np.eye(3))
     assert np.max(np.abs(ctx.chol @ ctx.chol.T - ctx.sigma)) <= 1e-15
+
+
+_INVERSE_MODELS = (CovarianceModel.bm(), CovarianceModel.fbm(0.25),
+                   CovarianceModel(1.0, 1.0, 0.25))
+
+
+def _rel_max(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+@pytest.mark.parametrize("model", _INVERSE_MODELS)
+def test_chol_inv_matches_triangular_solve(model: CovarianceModel, n: int) -> None:
+    from scipy.linalg import solve_triangular
+
+    ctx = build_gram(model, TimeGrid.uniform_grid(n))
+    want = solve_triangular(ctx.chol, np.eye(n), lower=True)
+    assert _rel_max(ctx.chol_inv, want) <= 1e-12
+
+
+def test_chol_inv_is_lower_triangular_read_only_and_cached() -> None:
+    ctx = build_gram(CovarianceModel.fbm(0.25), TimeGrid.uniform_grid(64))
+    inv = ctx.chol_inv
+    assert inv is ctx.chol_inv
+    assert not inv.flags.writeable
+    assert np.all(inv[np.triu_indices(64, 1)] == 0.0)
+
+
+@pytest.mark.parametrize("model", _INVERSE_MODELS)
+def test_leading_solves_match_two_triangular_solves(model: CovarianceModel) -> None:
+    from scipy.linalg import solve_triangular
+
+    from roughcalc.gaussian import regression_coefficients
+
+    ctx = build_gram(model, TimeGrid.uniform_grid(64))
+    rng = np.random.default_rng(11)
+    idx = np.array([0, 5, 40, 63])
+    for j in (1, 7, 32, 64):
+        block = ctx.chol[:j, :j]
+        rhs = rng.normal(size=(j, 3))
+        half = solve_triangular(block, rhs, lower=True)
+        want = solve_triangular(block, half, lower=True, trans="T")
+        assert _rel_max(ctx.solve_leading(j, rhs), want) <= 1e-12
+        beta, _ = regression_coefficients(ctx, j, idx)
+        want = solve_triangular(block, ctx.chol[idx, :j].T, lower=True, trans="T")
+        assert _rel_max(beta, want) <= 1e-12

@@ -6,6 +6,9 @@ For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 * `sample_ensemble` and `sample_ensemble_circulant`, with 1 and 2 workers;
 * `experiments._sampler_stats` on the dense ensemble;
 * `write_ensemble` and `read_ensemble` of the dense ensemble;
+* ``conditioning``: a fresh Gram build, then `innovation_directions` (the
+  first use of the cached ``chol_inv``) and one `regression_coefficients`
+  of the last coordinate on the first half;
 
 then makes one more call of each under `tracemalloc` and records its peak
 traced bytes, and that peak less the array the call returns.  Two more
@@ -53,8 +56,10 @@ import numpy as np  # noqa: E402
 
 from roughcalc import experiments  # noqa: E402
 from roughcalc.config import DEFAULTS  # noqa: E402
-from roughcalc.gaussian import (read_ensemble, sample_ensemble,  # noqa: E402
-                                sample_ensemble_circulant, write_ensemble)
+from roughcalc.gaussian import (read_ensemble, regression_coefficients,  # noqa: E402
+                                sample_ensemble, sample_ensemble_circulant,
+                                write_ensemble)
+from roughcalc.malliavin import innovation_directions  # noqa: E402
 from roughcalc.models import CovarianceModel, GramContext, TimeGrid  # noqa: E402
 
 CASES = ((64, 20_000, 0.25), (1024, 20_000, 0.25))
@@ -106,7 +111,16 @@ def _case(n: int, m: int, hurst: float, tmp: Path) -> list[dict]:
                      ("write", lambda: write_ensemble(target, dense)),
                      ("read", lambda: read_ensemble(target))):
         rows.append({"step": step, **where, "workers": 1, **_measure(fn)})
+    rows.append({"step": "conditioning", **where, "workers": 1,
+                 **_measure(lambda: _conditioning(n, hurst))})
     return rows
+
+
+def _conditioning(n: int, hurst: float):
+    ctx = GramContext.build(CovarianceModel.fbm(hurst), TimeGrid.uniform_grid(n))
+    w = innovation_directions(ctx)
+    regression_coefficients(ctx, n // 2, [n - 1])
+    return w
 
 
 # The peak RSS is the interpreter's own VmHWM: a child's ru_maxrss keeps the

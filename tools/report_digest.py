@@ -10,6 +10,10 @@ digests match:
 
     python3 tools/report_digest.py > digest.txt
 
+With ``--keep DIR`` every run's files, and its stdout as ``stdout.txt``, are
+also kept under DIR, one subdirectory per run, for `tools/report_diff.py`
+to compare value by value.
+
 Every run is pinned to one BLAS thread (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS set to 1): a few reports differ at
 roundoff between BLAS thread counts, so digests from machines with
@@ -21,8 +25,11 @@ not digested.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -84,21 +91,37 @@ def _run(cmd: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, check=False)
 
 
-def main() -> int:
-    for argv in CONFIGS:
-        label = " ".join(argv)
+def _keep(keep: Path | None, label: str, stdout: bytes, out: str | None = None) -> None:
+    if keep is None:
+        return
+    target = keep / re.sub(r"[^A-Za-z0-9.=,-]+", "_", label).strip("_")
+    if out is not None:
+        shutil.copytree(out, target)
+    target.mkdir(parents=True, exist_ok=True)
+    (target / "stdout.txt").write_bytes(stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also keep every run's files under DIR")
+    keep = parser.parse_args(argv).keep
+    for config in CONFIGS:
+        label = " ".join(config)
         with tempfile.TemporaryDirectory() as out:
-            args = [a.replace("{out}", out) for a in argv]
+            args = [a.replace("{out}", out) for a in config]
             proc = _run([sys.executable, "-m", "roughcalc", *args, "--out-dir", out])
             stdout = proc.stdout.replace(out.encode(), b"<out>")
             print(f"{_sha(stdout)}  [{label}] stdout rc={proc.returncode}", flush=True)
             for name in sorted(os.listdir(out)):
                 data = Path(out, name).read_bytes()
                 print(f"{_sha(data)}  [{label}] {name}", flush=True)
+            _keep(keep, label, stdout, out)
     for demo in sorted((ROOT / "demos").glob("*.py")):
         proc = _run([sys.executable, str(demo)])
         print(f"{_sha(proc.stdout)}  [demos/{demo.name}] stdout rc={proc.returncode}",
               flush=True)
+        _keep(keep, f"demos {demo.name}", proc.stdout)
     return 0
 
 
