@@ -19,14 +19,6 @@ __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "DEFAULTS"]
 MIN_STATISTICAL_PATHS = 1000
 
 
-def float_label(x: float) -> str:
-    """File-name form of a parameter: the shortest repr that round-trips,
-    so distinct values never share a report name, with a trailing ".0"
-    dropped (1.0 -> "1", 0.25 -> "0.25")."""
-    text = repr(float(x))
-    return text[:-2] if text.endswith(".0") else text
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str = "fbm"
@@ -91,16 +83,9 @@ class ExperimentConfig:
     _ECHO_EXCLUDED = ("workers", "out_dir")
 
     def echo(self) -> dict:
-        """Plain-dict echo of the experiment-defining fields."""
-        out = {}
-        for f in fields(self):
-            if f.name in self._ECHO_EXCLUDED:
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
+        """The experiment-defining fields by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in self._ECHO_EXCLUDED}
 
 
 DEFAULTS = ExperimentConfig()

@@ -36,7 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, float_label
+from .config import ExperimentConfig
 from .energy import (GramContext, increment_element, inner_product, project_adapted,
                      representer)
 from .errors import ConfigError, IllConditionedModelError
@@ -49,7 +49,7 @@ from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
                         isometry_defect_affine, predictable_projection)
 from .mixed import MixedContext, sample_mixed
 from .models import CovarianceModel, increment_variance
-from .reporting import ExperimentReport
+from .reporting import ExperimentReport, float_label
 
 __all__ = [
     "run_adjointness",
@@ -303,7 +303,8 @@ def run_factorization(cfg: ExperimentConfig) -> ExperimentReport:
     halved = bool(res[-1] < 0.5 * res[0])
     report.summary = {
         "monotone_strict": monotone,
-        "ratio_last_first": float(res[-1] / res[0]) if res[0] > 0 else 0.0,
+        # both residuals are roundoff in the exact case: no ratio to report
+        "ratio_last_first": None if exact_case else float(res[-1] / res[0]),
         "max_residual": float(res.max()),
         "exact_case": exact_case,
     }

@@ -289,22 +289,26 @@ def catalog_names() -> tuple[str, ...]:
     return _CATALOG
 
 
-def _snap_index(grid: TimeGrid, t: float) -> int:
-    i = grid.index_of(t)
-    if abs(grid.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-        warnings.warn(
-            f"time {t} is off-grid; snapped to nearest grid point {grid.times[i]}",
-            stacklevel=3,
-        )
-    return i
+def _snap_indices(name: str, grid: TimeGrid, *fractions: float) -> tuple[int, ...]:
+    """Nearest grid index of each catalog time, a fraction of the horizon.
+    Times that snap to one grid point make a config error, raised before
+    any off-grid time warns."""
+    times = [frac * grid.horizon for frac in fractions]
+    indices = tuple(grid.index_of(t) for t in times)
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"grid too coarse to separate the {name} functional's times")
+    for i, t in zip(indices, times):
+        if abs(grid.times[i] - t) > 1e-12 * max(1.0, abs(t)):
+            warnings.warn(
+                f"time {t} is off-grid; snapped to nearest grid point {grid.times[i]}",
+                stacklevel=3,
+            )
+    return indices
 
 
 def _separable(name: str, indices, terms, f_const: float = 0.0) -> CylindricalFunctional:
     """f(x) = f_const + sum_i terms[i](x_i) for BasisMap terms; the value,
-    the gradient and the diagonal maps are all read off their coefficients.
-    Catalog times that snap to one grid point make a config error."""
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"grid too coarse to separate the {name} functional's times")
+    the gradient and the diagonal maps are all read off their coefficients."""
     table = np.array([t.coeffs for t in terms])  # (k, 6)
     grad_table = table @ _DERIV.T
     diag = tuple(t.deriv() for t in terms)
@@ -327,17 +331,16 @@ def make_functional(name: str, grid: TimeGrid) -> CylindricalFunctional:
     nearest grid point with a warning.  The integral entries are the
     trapezoid reduction of `discretize_integral_functional`.
     """
-    horizon = grid.horizon
     if name == "quadratic":
-        return _separable(name, (_snap_index(grid, horizon),), (BasisMap.of(v2=1.0),))
+        return _separable(name, _snap_indices(name, grid, 1.0), (BasisMap.of(v2=1.0),))
     if name == "two_time":
-        idx = (_snap_index(grid, 0.5 * horizon), _snap_index(grid, horizon))
+        idx = _snap_indices(name, grid, 0.5, 1.0)
         return _separable(name, idx, (BasisMap.of(sin=1.0), BasisMap.of(cos=1.0)))
     if name == "linear":
-        idx = [_snap_index(grid, frac * horizon) for frac in _LINEAR_FRACTIONS]
+        idx = _snap_indices(name, grid, *_LINEAR_FRACTIONS)
         return _separable(name, idx, tuple(BasisMap.of(v=c) for c in _LINEAR_COEFFS))
     if name == "terminal_exp":
-        return _separable(name, (_snap_index(grid, horizon),), (BasisMap.of(exp=1.0),))
+        return _separable(name, _snap_indices(name, grid, 1.0), (BasisMap.of(exp=1.0),))
     if name in ("integral_sin", "integral_square"):
         g = BasisMap.of(sin=1.0) if name == "integral_sin" else BasisMap.of(v2=1.0)
         w0, w = _trapezoid_weights(grid)

@@ -1,12 +1,14 @@
 """Deterministic report serialization.
 
 Reports are written as JSON (full structure) and CSV (result rows only).
-The JSON is the standard library's ``json.dumps`` with sorted keys and a
-two-space indent; floats in both formats are Python's ``repr``, the
-shortest text that reads back to the same double, so a rerun with the
-same seed produces byte-identical files.  Non-finite floats are written
-as the strings ``"nan"``, ``"inf"`` and ``"-inf"``, never as bare JSON
-``NaN``.  Wall-clock timings never enter a report; they go to stderr.
+One rule turns a value into text: ``_normalize`` makes it a plain JSON
+value and the standard library's ``json.dumps`` writes it.  The JSON file
+has sorted keys and a two-space indent; a CSV cell is the same value's JSON
+text, with a string unquoted and None empty.  Floats are Python's ``repr``,
+the shortest text that reads back to the same double, so a rerun with the
+same seed produces byte-identical files.  Non-finite floats are written as
+the strings ``"nan"``, ``"inf"`` and ``"-inf"``, never as bare JSON ``NaN``.
+Wall-clock timings never enter a report; they go to stderr.
 """
 
 from __future__ import annotations
@@ -47,30 +49,33 @@ def render_json(payload: dict) -> str:
                       allow_nan=False) + "\n"
 
 
+# json.dumps with a non-default argument builds a new encoder per call
+_json_text = json.JSONEncoder(allow_nan=False).encode
+
+
+def _csv_cell(value) -> str:
+    """The value's JSON text, with a string unquoted and None empty."""
+    value = _normalize(value)
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else _json_text(value)
+
+
 def render_csv(rows: list[dict]) -> str:
-    """Rows share a column union; missing cells are empty."""
-    if not rows:
-        return "\n"
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
+    """Columns are the union of the row keys in first-seen order; missing
+    cells are empty."""
+    cols = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for key in cols:
-            v = row.get(key)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (float, np.floating)):
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(_csv_cell(row.get(key)) for key in cols) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def float_label(x: float) -> str:
+    """File-name form of a parameter: the shortest repr that round-trips,
+    so distinct values never share a report name, with a trailing ".0"
+    dropped (1.0 -> "1", 0.25 -> "0.25")."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass

@@ -292,12 +292,54 @@ def test_config_file_flow(tmp_path) -> None:
     assert any("0.4" in p.name for p in tmp_path.iterdir())
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _load_tool(name: str):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    path = ROOT / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    # a fresh interpreter on this checkout's package, at one BLAS thread
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("adjointness", "--grid-n", "2"),
+    ("mixed", "--grid-n", "2"),
+    ("factorize", "--set", "functional=linear", "--set", "grid_sweep=2,4"),
+    ("adjointness", "--grid-n", "1"),
+])
+def test_coarse_grid_is_one_stderr_line(argv, tmp_path) -> None:
+    # pytest captures warnings, so only a fresh interpreter shows the stderr
+    # a user sees: the config error alone, no off-grid warning before it
+    proc = _python("-m", "roughcalc", *argv, "--paths", "1000",
+                   "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("roughcalc: config error: grid too coarse")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_off_grid_snap_still_warns(tmp_path) -> None:
+    proc = _python("-m", "roughcalc", "adjointness", "--grid-n", "6", "--paths", "1000",
+                   "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0
+    assert "UserWarning: time 0.25 is off-grid" in proc.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_clean(demo, tmp_path) -> None:
+    proc = _python(str(ROOT / "demos" / demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout
+    assert not any(tmp_path.iterdir())
 
 
 def test_report_digest_configs_parse() -> None:

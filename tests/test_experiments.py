@@ -67,12 +67,21 @@ def test_factorization_exact_brownian(model) -> None:
     assert rep.passed
     assert rep.summary["exact_case"]
     assert rep.summary["max_residual"] <= 1e-20
+    # a ratio of two roundoff residuals is noise: none is reported
+    assert rep.summary["ratio_last_first"] is None
+    two = run_factorization(small(model=model, hurst=0.25, functional="linear",
+                                  grid_sweep=(8, 16)))
+    assert two.passed
+    assert two.summary["ratio_last_first"] is None
 
 
 def test_factorization_refinement_small() -> None:
     rep = run_factorization(small(functional="quadratic", paths=20_000,
                                   grid_sweep=(8, 16, 32)))
     assert rep.passed
+    assert not rep.summary["exact_case"]
+    assert isinstance(rep.summary["ratio_last_first"], float)
+    assert rep.summary["ratio_last_first"] < 0.5
     assert rep.summary["monotone_strict"]
     residuals = [row["residual"] for row in rep.results]
     assert residuals == sorted(residuals, reverse=True)

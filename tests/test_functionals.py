@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,7 +66,9 @@ def test_linear_combination_and_coarse_grid_rejection() -> None:
     x = np.zeros((1, 16))
     x[0, 3], x[0, 7], x[0, 15] = 1.0, 1.0, 1.0  # times 0.25, 0.5, 1.0
     assert fn.values(x)[0] == pytest.approx(1.0 - 2.0 + 1.5)
-    with pytest.raises(ValueError), pytest.warns(UserWarning):
+    # the times are found inseparable before any of them warns off-grid
+    with pytest.raises(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("error")
         make_functional("linear", TimeGrid.uniform_grid(2))
 
 

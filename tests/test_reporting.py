@@ -13,11 +13,19 @@ from hypothesis import strategies as st
 
 from roughcalc import reporting
 from roughcalc.config import DEFAULTS
+from roughcalc.experiments import verify_all
 from roughcalc.reporting import ExperimentReport, render_csv, render_json, write_report
 
 
 def _csv_cell(value) -> str:
     return render_csv([{"v": value}]).split("\n")[1]
+
+
+def _cell_of_json(parsed) -> str:
+    # the CSV cell of a value read back from the JSON report
+    if parsed is None:
+        return ""
+    return parsed if isinstance(parsed, str) else json.dumps(parsed)
 
 
 def _same_double(a: float, b: float) -> bool:
@@ -138,6 +146,35 @@ def test_render_csv_column_union_and_blanks() -> None:
     assert lines[2].endswith(",txt")
     # row 2 has no y: empty cell between the commas
     assert lines[2].split(",")[1] == ""
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), ("txt", "txt"), (True, "true"), (False, "false"),
+    (np.bool_(True), "true"), (np.bool_(False), "false"), (3, "3"),
+    (np.int64(-7), "-7"), (0.1, "0.1"), (np.float64(0.1), "0.1"),
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (-0.0, "-0.0"),
+], ids=repr)
+def test_csv_cell_is_the_json_text(value, text) -> None:
+    # one rule for both formats: a string unquoted, None empty
+    assert _cell_of_json(json.loads(render_json({"v": value}))["v"]) == text
+    assert render_csv([{"v": value, "w": 1}]).split("\n")[1] == text + ",1"
+
+
+def test_csv_rows_match_json_rows_of_every_report() -> None:
+    reports, summary = verify_all(dataclasses.replace(DEFAULTS, grid_n=8, paths=2000))
+    for report in [*reports, summary]:
+        header, *lines = render_csv(report.results).rstrip("\n").split("\n")
+        cols = header.split(",")
+        rows = json.loads(render_json(report.payload()))["results"]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            want = ",".join(_cell_of_json(row.get(key)) for key in cols)
+            assert line == want, report.basename()
+
+
+def test_render_csv_without_rows() -> None:
+    assert render_csv([]) == "\n"
 
 
 def test_report_basename_layout() -> None:
