@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -157,6 +158,10 @@ def _run_list() -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"roughcalc: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -169,9 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 1
     # overflow to inf and inf * 0 stay silent: a non-finite sample moment
-    # raises IllConditionedModelError, reported below in one line
+    # raises IllConditionedModelError, reported below in one line; a
+    # warning is one line too, without the echoed source line
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _warning_line
             if args.command == "list":
                 return _run_list()
             if args.command == "verify-all":

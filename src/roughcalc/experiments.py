@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -598,22 +599,25 @@ def run_projection_lemma(cfg: ExperimentConfig) -> ExperimentReport:
 # --- sampler checks ----------------------------------------------------------
 
 
-def _increment_stats(paths: np.ndarray) -> tuple[np.ndarray, float]:
+def _increment_stats(paths: np.ndarray, workers: int = 1) -> tuple[np.ndarray, float]:
     """Sample variance (ddof 1) of each increment column, with the path
     starting at 0, and the Pearson correlation of the pooled lag-1 pairs.
 
-    The increments are formed BLOCK_BYTES worth of columns at a time and
-    transposed, so that each column reduces as one contiguous row (the
-    same pairwise sums as a column on its own); a block starts one column
-    early so that its first lag pair straddles the previous block.
+    The increments are formed a column block at a time and transposed, so
+    that each column reduces as one contiguous row (the same pairwise sums
+    as a column on its own); a block starts one column early so that its
+    first lag pair straddles the previous block.  Up to ``workers`` threads
+    reduce blocks of BLOCK_BYTES // workers each, so the working memory
+    does not grow with workers and every figure is the same at any count.
     """
     m, n = paths.shape
     variances = np.empty(n)
     col_sum = np.empty(n)
     col_sq = np.empty(n)
     lag = np.empty(max(n - 1, 0))
-    cols = max(1, BLOCK_BYTES // (8 * m))
-    for c0 in range(0, n, cols):
+    cols = max(1, BLOCK_BYTES // (8 * m * workers))
+
+    def reduce(c0):
         c1 = min(c0 + cols, n)
         lo = max(c0 - 1, 0)
         prev = paths[:, lo - 1:lo] if lo else 0.0
@@ -623,6 +627,14 @@ def _increment_stats(paths: np.ndarray) -> tuple[np.ndarray, float]:
         col_sum[c0:c1] = own.sum(axis=1)
         col_sq[c0:c1] = np.einsum("ij,ij->i", own, own)
         lag[lo:c1 - 1] = np.einsum("ij,ij->i", block[:-1], block[1:])
+
+    starts = range(0, n, cols)
+    if workers <= 1 or len(starts) <= 1:
+        for c0 in starts:
+            reduce(c0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(reduce, starts))
     # raw moments of a = columns 0..n-2 and b = columns 1..n-1
     count = m * (n - 1)
     if count == 0:
@@ -672,14 +684,14 @@ def _ks_normal(sample: np.ndarray, sd: float) -> tuple[float, float]:
     return d, float(np.clip(_kolmogorov(math.sqrt(n) * d), 0.0, 1.0))
 
 
-def _sampler_stats(ctx: GramContext, ens: PathEnsemble) -> dict:
+def _sampler_stats(ctx: GramContext, ens: PathEnsemble, workers: int = 1) -> dict:
     model, grid, paths = ctx.model, ctx.grid, ens.paths
     m = paths.shape[0]
     terminal = paths[:, -1]
     var_term, se_var = _var_se(terminal)
     theory_var = float(increment_variance(model, 0.0, float(grid.times[-1])))
     ks_stat, ks_pvalue = _ks_normal(terminal, math.sqrt(theory_var))
-    variances, lag1 = _increment_stats(paths)
+    variances, lag1 = _increment_stats(paths, workers)
     t_lo = np.concatenate(([0.0], grid.times[:-1]))
     se_factor = math.sqrt(2.0 / (m - 1))
     worst = 0.0
@@ -722,7 +734,7 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     """
     ctx, dense = _setup(cfg)
     report = _report(cfg, "simulate", ctx.n)
-    rows = [_sampler_stats(ctx, dense)]
+    rows = [_sampler_stats(ctx, dense, cfg.workers)]
     if export_path is not None:
         write_ensemble(export_path, dense)
     del dense  # one ensemble in memory at a time
@@ -732,7 +744,7 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
         min_eig_ratio = circ.min_eig_ratio
-        rows.append(_sampler_stats(ctx, circ))
+        rows.append(_sampler_stats(ctx, circ, cfg.workers))
     ok = True
     for row in rows:
         row_ok = row["max_increment_sigma"] <= 5.0

@@ -19,11 +19,15 @@ Two samplers produce ensembles of paths X ~ N(0, Sigma):
   ensemble; the ratio min/max is recorded either way.
 
 Randomness is keyed by (seed, stream, chunk): each fixed-size chunk of rows
-gets its own PCG64 generator via SeedSequence spawn keys, so ensembles are
-bit-identical for any worker count and any chunk execution order.  Within a
-chunk the normals are drawn in row blocks of at most BLOCK_BYTES from that
-chunk's generator, in order, so the draws do not depend on the block size
-and the working memory of a sampler is bounded in bytes, not in rows.
+gets its own PCG64 generator via SeedSequence spawn keys.  Within a chunk
+the normals are drawn in row blocks of at most BLOCK_BYTES from that
+chunk's generator, in order.  Both samplers run one pipelined loop
+(`_fill_chunks`): the calling thread draws every block, in order, into one
+of ``workers`` buffers that it owns, and up to workers - 1 pool threads
+apply each block's transform (the product with L, or the half spectrum,
+inverse FFT and cumulative sum).  So ensembles are bit-identical for any
+worker count, at most ``workers`` blocks are live, and the working memory
+of a sampler is bounded in bytes, not in rows.
 
 Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
 X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
@@ -119,16 +123,42 @@ def _row_blocks(lo: int, hi: int, row_bytes: int):
     return [(b0, min(b0 + step, hi)) for b0 in range(lo, hi, step)]
 
 
-def _fill_chunks(m, workers, fill):
-    bounds = _chunk_bounds(m)
-    if workers <= 1 or len(bounds) <= 1:
-        for c, (lo, hi) in enumerate(bounds):
-            fill(c, lo, hi)
+def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
+    """Fill m rows through the pipelined chunk loop.
+
+    Chunk c's generator draws, in order, each pass's row blocks of ``width``
+    normals per row, and the pass's ``apply(z, b0, b1, tmp)`` maps the
+    block z of rows b0:b1 into its output.  The calling thread draws every
+    block; up to workers - 1 pool threads apply them, so at most
+    ``workers`` blocks are live.  Their buffers, sized to the largest block
+    drawn, and the per-slot ``tmp = scratch(rows)`` are allocated here, by
+    the calling thread, once per call.  The draws do not depend on workers.
+    """
+    rng = RngStream(seed, stream)
+    blocks = []
+    for c, (lo, hi) in enumerate(_chunk_bounds(m)):
+        gen = rng.generator(c)
+        blocks += [(gen, apply, b0, b1) for apply in passes
+                   for b0, b1 in _row_blocks(lo, hi, 8 * width)]
+    rows = max(b1 - b0 for _, _, b0, b1 in blocks)
+    slots = [(np.empty((rows, width)), scratch(rows) if scratch else None)
+             for _ in range(min(workers, len(blocks)))]
+    if len(slots) == 1:
+        z, tmp = slots[0]
+        for gen, apply, b0, b1 in blocks:
+            apply(gen.standard_normal(out=z[:b1 - b0]), b0, b1, tmp)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, c, lo, hi) for c, (lo, hi) in enumerate(bounds)]
-        for f in futures:
-            f.result()
+    busy = [None] * len(slots)
+    with ThreadPoolExecutor(max_workers=len(slots) - 1) as pool:
+        for k, (gen, apply, b0, b1) in enumerate(blocks):
+            s = k % len(slots)
+            if busy[s] is not None:
+                busy[s].result()  # the block before in this slot is done
+            z, tmp = slots[s]
+            busy[s] = pool.submit(apply, gen.standard_normal(out=z[:b1 - b0]),
+                                  b0, b1, tmp)
+        for future in busy:
+            future.result()
 
 
 def _sample_dense(factors, m: int, seed: int, stream: int, workers: int
@@ -138,17 +168,14 @@ def _sample_dense(factors, m: int, seed: int, stream: int, workers: int
     next factor's, each in row blocks of at most BLOCK_BYTES of normals."""
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    rng = RngStream(seed, stream)
     n = factors[0].shape[0]
     outs = [np.empty((m, n)) for _ in factors]
 
-    def fill(c, lo, hi):
-        gen = rng.generator(c)
-        for chol, out in zip(factors, outs):
-            for b0, b1 in _row_blocks(lo, hi, 8 * n):
-                np.matmul(gen.standard_normal((b1 - b0, n)), chol.T, out=out[b0:b1])
+    def product(chol, out):
+        return lambda z, b0, b1, _: np.matmul(z, chol.T, out=out[b0:b1])
 
-    _fill_chunks(m, workers, fill)
+    _fill_chunks(m, seed, stream, n, [product(c, o) for c, o in zip(factors, outs)],
+                 workers)
     for out in outs:
         out.setflags(write=False)
     return outs
@@ -209,25 +236,21 @@ def sample_ensemble_circulant(
     # complex ones; irfft's 1/(2n) is undone by sqrt(2n).
     w = np.sqrt(np.clip(g[:n + 1], 0.0, None)) * (np.sqrt(m_emb) * scale)
     w[1:n] /= np.sqrt(2.0)
-    rng = RngStream(seed, stream)
     out = np.empty((m, n))
 
-    def fill(c, lo, hi):
-        gen = rng.generator(c)
-        for b0, b1 in _row_blocks(lo, hi, 8 * m_emb):
-            z = gen.standard_normal((b1 - b0, m_emb))
-            half = np.zeros((b1 - b0, n + 1), dtype=complex)
-            half.real[:, 0] = z[:, 0]
-            half.real[:, n] = z[:, 1]
-            half.real[:, 1:n] = z[:, 2:n + 1]
-            half.imag[:, 1:n] = z[:, n + 1:]
-            del z
-            half *= w
-            fgn = np.fft.irfft(half, n=m_emb, axis=1)
-            del half
-            np.cumsum(fgn[:, :n], axis=1, out=out[b0:b1])
+    def transform(z, b0, b1, half):
+        # half's imaginary parts at 0 and n stay the zeros it was made with
+        half = half[:b1 - b0]
+        half.real[:, 0] = z[:, 0]
+        half.real[:, n] = z[:, 1]
+        half.real[:, 1:n] = z[:, 2:n + 1]
+        half.imag[:, 1:n] = z[:, n + 1:]
+        half *= w
+        fgn = np.fft.irfft(half, n=m_emb, axis=1, out=z)
+        np.cumsum(fgn[:, :n], axis=1, out=out[b0:b1])
 
-    _fill_chunks(m, workers, fill)
+    _fill_chunks(m, seed, stream, m_emb, [transform], workers,
+                 scratch=lambda rows: np.zeros((rows, n + 1), dtype=complex))
     out.setflags(write=False)
     return PathEnsemble(out, seed, "circulant", min_eig_ratio=ratio)
 

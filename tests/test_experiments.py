@@ -193,6 +193,20 @@ def test_sampler_stats_match_column_loop(model, n: int) -> None:
     assert abs(row["lag1_increment_corr"] - lag1) <= bound
 
 
+@pytest.mark.parametrize("n", [1, 512])
+def test_increment_stats_bit_identical_across_workers(n: int) -> None:
+    # 512 columns of 18 384 paths span 9, 19 and 27 column blocks
+    ctx = GramContext.build(CovarianceModel.fbm(0.25), TimeGrid.uniform_grid(n))
+    ens = sample_ensemble(ctx, CHUNK_ROWS + 2000, seed=3)
+    one = experiments._sampler_stats(ctx, ens, 1)
+    for workers in (2, 3):
+        row = experiments._sampler_stats(ctx, ens, workers)
+        if n == 1:  # no lag pair: the correlation is nan, which is not == nan
+            assert math.isnan(row.pop("lag1_increment_corr"))
+            assert math.isnan(one.pop("lag1_increment_corr", math.nan))
+        assert row == one
+
+
 def test_sampler_stats_working_memory_is_bounded_in_bytes() -> None:
     ctx = GramContext.build(CovarianceModel.fbm(0.25), TimeGrid.uniform_grid(512))
     ens = sample_ensemble(ctx, CHUNK_ROWS + 2000, seed=3, workers=2)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,12 +14,13 @@ import pytest
 from roughcalc import gaussian
 from roughcalc.energy import GramContext
 from roughcalc.errors import UnsupportedDimensionError
-from roughcalc.gaussian import (CHUNK_ROWS, ConditionalLaw, PathEnsemble,
+from roughcalc.gaussian import (BLOCK_BYTES, CHUNK_ROWS, ConditionalLaw, PathEnsemble,
                                 RngStream, conditional_expectation,
                                 conditional_law, expect_scalar,
                                 read_ensemble, regression_coefficients,
                                 sample_ensemble, sample_ensemble_circulant,
                                 write_ensemble)
+from roughcalc.mixed import MixedContext, sample_mixed
 from roughcalc.models import CovarianceModel, TimeGrid, increment_variance
 
 
@@ -172,13 +176,70 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])
-def test_samplers_bit_identical_across_workers(sampler) -> None:
+def _mixed_paths(ctx, m, seed, stream, workers):
+    mctx = MixedContext.build(CovarianceModel(0.7, 1.2, ctx.model.hurst), ctx.grid)
+    ens = sample_mixed(mctx, m, seed, stream, workers)
+    return ens.paths_b, ens.paths_h, ens.paths_x
+
+
+@pytest.mark.parametrize("draw", [
+    lambda *args: (sample_ensemble(*args).paths,),
+    lambda *args: (sample_ensemble_circulant(*args).paths,),
+    _mixed_paths,
+], ids=["dense", "circulant", "mixed"])
+def test_samplers_bit_identical_across_workers(draw) -> None:
     ctx = make_ctx(n=512)
-    m = CHUNK_ROWS + 2000
-    one = sampler(ctx, m, 5, 0, 1)
-    two = sampler(ctx, m, 5, 0, 2)
-    assert np.array_equal(one.paths, two.paths)
+    m = CHUNK_ROWS + 2000  # two chunks, each of several row blocks
+    one = draw(ctx, m, 5, 0, 1)
+    for workers in (2, 3):
+        other = draw(ctx, m, 5, 0, workers)
+        assert all(np.array_equal(a, b) for a, b in zip(one, other, strict=True))
+
+
+def test_pipeline_error_reaches_caller_and_stops_its_threads() -> None:
+    baseline = threading.active_count()
+    m, width = CHUNK_ROWS + 2000, 512
+    out = np.empty((m, width))
+
+    def apply(z, b0, b1, _):
+        if b0 >= 4 * (BLOCK_BYTES // (8 * width)):  # a block after the pool started
+            raise RuntimeError("transform failed")
+        out[b0:b1] = z
+
+    with pytest.raises(RuntimeError, match="transform failed"):
+        gaussian._fill_chunks(m, 5, 0, width, [apply], workers=3)
+    assert threading.active_count() == baseline
+
+
+def test_pipeline_reuses_a_buffer_only_after_its_block_is_applied(monkeypatch) -> None:
+    # a transform that copies late would read the normals of a later block
+    # if the calling thread refilled its slot too early; blocks of 16 rows
+    # draw far faster than the transform sleeps; more workers than cores
+    m, width = 200, 64
+    monkeypatch.setattr(gaussian, "BLOCK_BYTES", 16 * 8 * width)
+    outs = {workers: np.empty((m, width)) for workers in (1, 3)}
+
+    def copy_late(out):
+        def apply(z, b0, b1, _):
+            time.sleep(0.01)
+            out[b0:b1] = z
+        return apply
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, out in outs.items():
+            gaussian._fill_chunks(m, 5, 0, width, [copy_late(out)], workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(outs[1], outs[3])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])
+def test_sampler_buffers_fit_the_rows_drawn(sampler) -> None:
+    # 64 rows draw one small block: no full BLOCK_BYTES buffer is made
+    ens, peak = _traced_peak(sampler, make_ctx(n=512), 64, 5, 0, 2)
+    assert peak - ens.paths.nbytes <= 2 << 20
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])

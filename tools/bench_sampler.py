@@ -4,7 +4,9 @@ ensemble file I/O, at fixed sizes.
 For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 
 * `sample_ensemble` and `sample_ensemble_circulant`, with 1 and 2 workers;
-* `experiments._sampler_stats` on the dense ensemble;
+* `experiments._sampler_stats` on the dense ensemble, with 1 and 2 workers
+  (with 1 alone on a checkout whose `_sampler_stats` takes no worker
+  count);
 * `write_ensemble` and `read_ensemble` of the dense ensemble;
 * ``conditioning``: a fresh Gram build, then `innovation_directions` (the
   first use of the cached ``chol_inv``) and one `regression_coefficients`
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -107,10 +110,16 @@ def _case(n: int, m: int, hurst: float, tmp: Path) -> list[dict]:
     dense = sample_ensemble(ctx, m, SEED)
     target = tmp / "ensemble.bin"
     write_ensemble(target, dense)
-    for step, fn in (("sampler_stats", lambda: experiments._sampler_stats(ctx, dense)),
-                     ("write", lambda: write_ensemble(target, dense)),
-                     ("read", lambda: read_ensemble(target))):
-        rows.append({"step": step, **where, "workers": 1, **_measure(fn)})
+    stats = experiments._sampler_stats
+    if "workers" in inspect.signature(stats).parameters:
+        steps = [("sampler_stats", w, lambda w=w: stats(ctx, dense, workers=w))
+                 for w in WORKERS]
+    else:
+        steps = [("sampler_stats", 1, lambda: stats(ctx, dense))]
+    steps += [("write", 1, lambda: write_ensemble(target, dense)),
+              ("read", 1, lambda: read_ensemble(target))]
+    for step, workers, fn in steps:
+        rows.append({"step": step, **where, "workers": workers, **_measure(fn)})
     rows.append({"step": "conditioning", **where, "workers": 1,
                  **_measure(lambda: _conditioning(n, hurst))})
     return rows
