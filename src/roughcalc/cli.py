@@ -158,8 +158,8 @@ def _run_list() -> int:
     return 0
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    print(f"roughcalc: warning: {message}", file=sys.stderr)
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"roughcalc: warning: {message}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,9 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     # overflow to inf and inf * 0 stay silent: a non-finite sample moment
     # raises IllConditionedModelError, reported below in one line; a
     # warning is one line too, without the echoed source line
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
-        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-            warnings.showwarning = _warning_line
+        with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "list":
                 return _run_list()
             if args.command == "verify-all":
@@ -196,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"roughcalc: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

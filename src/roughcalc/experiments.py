@@ -606,16 +606,19 @@ def _increment_stats(paths: np.ndarray, workers: int = 1) -> tuple[np.ndarray, f
     The increments are formed a column block at a time and transposed, so
     that each column reduces as one contiguous row (the same pairwise sums
     as a column on its own); a block starts one column early so that its
-    first lag pair straddles the previous block.  Up to ``workers`` threads
-    reduce blocks of BLOCK_BYTES // workers each, so the working memory
-    does not grow with workers and every figure is the same at any count.
+    first lag pair straddles the previous block.  When the columns span
+    more than one block of BLOCK_BYTES, up to ``workers`` threads reduce
+    blocks of BLOCK_BYTES // workers each, so the working memory does not
+    grow with workers and every figure is the same at any count.
     """
     m, n = paths.shape
     variances = np.empty(n)
     col_sum = np.empty(n)
     col_sq = np.empty(n)
     lag = np.empty(max(n - 1, 0))
-    cols = max(1, BLOCK_BYTES // (8 * m * workers))
+    cols = max(1, BLOCK_BYTES // (8 * m))
+    if workers > 1 and n > cols:
+        cols = max(1, cols // workers)
 
     def reduce(c0):
         c1 = min(c0 + cols, n)

@@ -25,9 +25,10 @@ chunk's generator, in order.  Both samplers run one pipelined loop
 (`_fill_chunks`): the calling thread draws every block, in order, into one
 of ``workers`` buffers that it owns, and up to workers - 1 pool threads
 apply each block's transform (the product with L, or the half spectrum,
-inverse FFT and cumulative sum).  So ensembles are bit-identical for any
-worker count, at most ``workers`` blocks are live, and the working memory
-of a sampler is bounded in bytes, not in rows.
+inverse FFT and cumulative sum); with no more blocks than workers it runs
+inline.  So ensembles are bit-identical for any worker count, at most
+``workers`` blocks are live, and the working memory of a sampler is
+bounded in bytes, not in rows.
 
 Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
 X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
@@ -130,9 +131,12 @@ def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
     normals per row, and the pass's ``apply(z, b0, b1, tmp)`` maps the
     block z of rows b0:b1 into its output.  The calling thread draws every
     block; up to workers - 1 pool threads apply them, so at most
-    ``workers`` blocks are live.  Their buffers, sized to the largest block
-    drawn, and the per-slot ``tmp = scratch(rows)`` are allocated here, by
-    the calling thread, once per call.  The draws do not depend on workers.
+    ``workers`` blocks are live.  Block k goes to slot k % workers, whose
+    buffer, sized to the largest block it takes, and ``tmp = scratch(rows)``
+    are allocated here, by the calling thread, once per call.  With no more
+    blocks than workers no slot is reused and the draws overlap little of
+    the transforms, so the loop runs inline.  The draws do not depend on
+    workers.
     """
     rng = RngStream(seed, stream)
     blocks = []
@@ -140,10 +144,12 @@ def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
         gen = rng.generator(c)
         blocks += [(gen, apply, b0, b1) for apply in passes
                    for b0, b1 in _row_blocks(lo, hi, 8 * width)]
-    rows = max(b1 - b0 for _, _, b0, b1 in blocks)
-    slots = [(np.empty((rows, width)), scratch(rows) if scratch else None)
-             for _ in range(min(workers, len(blocks)))]
-    if len(slots) == 1:
+    count = workers if len(blocks) > workers > 1 else 1
+    slots = []
+    for s in range(count):
+        rows = max(b1 - b0 for _, _, b0, b1 in blocks[s::count])
+        slots.append((np.empty((rows, width)), scratch(rows) if scratch else None))
+    if count == 1:
         z, tmp = slots[0]
         for gen, apply, b0, b1 in blocks:
             apply(gen.standard_normal(out=z[:b1 - b0]), b0, b1, tmp)

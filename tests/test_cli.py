@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,17 @@ def test_off_grid_snap_still_warns(tmp_path) -> None:
     warning, timing = proc.stderr.splitlines()
     assert warning.startswith("roughcalc: warning: time 0.25 is off-grid; snapped")
     assert timing.startswith("adjointness: ")
+
+
+def test_off_grid_warning_reaches_an_in_process_recorder(tmp_path) -> None:
+    # the one-line form only formats a warning that is printed: a caller
+    # recording warnings still receives it, and the format is restored after
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="time 0.25 is off-grid"):
+        rc = run_cli("adjointness", "--grid-n", "6", "--paths", "1000",
+                     "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

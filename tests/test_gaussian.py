@@ -235,6 +235,19 @@ def test_pipeline_reuses_a_buffer_only_after_its_block_is_applied(monkeypatch) -
     assert np.array_equal(outs[1], outs[3])
 
 
+def test_pipeline_runs_inline_with_no_more_blocks_than_workers() -> None:
+    # two chunks of one block each: at 2 workers no slot would be reused
+    threads = set()
+
+    def apply(z, b0, b1, _):
+        threads.add(threading.current_thread())
+
+    gaussian._fill_chunks(CHUNK_ROWS + 2000, 5, 0, 64, [apply], workers=2)
+    assert threads == {threading.main_thread()}
+    gaussian._fill_chunks(CHUNK_ROWS + 2000, 5, 0, 64, [apply, apply], workers=2)
+    assert len(threads) == 2
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])
 def test_sampler_buffers_fit_the_rows_drawn(sampler) -> None:
     # 64 rows draw one small block: no full BLOCK_BYTES buffer is made

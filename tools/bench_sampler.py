@@ -6,7 +6,8 @@ For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 * `sample_ensemble` and `sample_ensemble_circulant`, with 1 and 2 workers;
 * `experiments._sampler_stats` on the dense ensemble, with 1 and 2 workers
   (with 1 alone on a checkout whose `_sampler_stats` takes no worker
-  count);
+  count: that branch only serves the ``parent`` record now in
+  BENCH_sampler.json, and goes at its next re-record);
 * `write_ensemble` and `read_ensemble` of the dense ensemble;
 * ``conditioning``: a fresh Gram build, then `innovation_directions` (the
   first use of the cached ``chol_inv``) and one `regression_coefficients`
