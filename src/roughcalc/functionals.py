@@ -56,7 +56,7 @@ _DERIV = np.array([
 ])
 
 
-def smooth_basis(table, mu, var) -> np.ndarray:
+def smooth_basis(table, mu, var, out=None) -> np.ndarray:
     """E[h(mu + sqrt(var) Z)], Z ~ N(0, 1), for maps h given by coefficients.
 
     ``table`` holds coefficients along its last axis (length 6, in the
@@ -69,26 +69,40 @@ def smooth_basis(table, mu, var) -> np.ndarray:
          e^{mu + var/2}],
 
     and var = 0 gives h(mu) itself.  Basis elements with all-zero
-    coefficients are skipped.
+    coefficients are skipped; the first live element is written straight
+    into the result and each later one is added to it, so an all-zero table
+    gives zeros.  With ``out`` (an array of the broadcast shape that does
+    not overlap ``mu``) the result is written there and ``out`` returned;
+    a term buffer is allocated only when more than one element is live.
     """
-    c = np.moveaxis(np.asarray(table, dtype=float), -1, 0)
+    c = np.asarray(table, dtype=float)
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    out = np.zeros(np.broadcast_shapes(c.shape[1:], mu.shape, var.shape))
-    if c[0].any():
-        out += c[0]
-    if c[1].any():
-        out += c[1] * mu
-    if c[2].any():
-        out += c[2] * (mu * mu + var)
-    if c[3].any() or c[4].any():
-        damp = np.exp(-0.5 * var)
-        if c[3].any():
-            out += (c[3] * damp) * np.sin(mu)
-        if c[4].any():
-            out += (c[4] * damp) * np.cos(mu)
-    if c[5].any():
-        out += c[5] * np.exp(mu + 0.5 * var)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(c.shape[:-1], mu.shape, var.shape))
+    dst = damp = None
+    for b in np.flatnonzero(c.reshape(-1, c.shape[-1]).any(axis=0)).tolist():
+        coef = c[..., b]
+        # the first live term goes into out, each later one via dst
+        dst = out if dst is None else (np.empty_like(out) if dst is out else dst)
+        if b == 0:
+            np.copyto(dst, coef)
+        elif b == 1:
+            np.multiply(coef, mu, out=dst)
+        elif b == 2:
+            np.add(np.multiply(mu, mu, out=dst), var, out=dst)
+            dst *= coef
+        elif b == 5:
+            np.exp(np.add(mu, 0.5 * var, out=dst), out=dst)
+            dst *= coef
+        else:
+            damp = np.exp(-0.5 * var) if damp is None else damp
+            (np.sin if b == 3 else np.cos)(mu, out=dst)
+            dst *= coef * damp
+        if dst is not out:
+            out += dst
+    if dst is None:
+        out.fill(0.0)
     return out
 
 

@@ -210,8 +210,9 @@ def isometry_defect_affine(ctx: GramContext, field: AffineField) -> float:
 
 
 def _smoother(maps):
-    """smooth(mu, var, cols) with column j = E[maps[cols[j]](mu[:, j] +
-    sqrt(var[j]) Z)], Z ~ N(0, 1).
+    """smooth(mu, var, cols, out=None) with column j = E[maps[cols[j]](mu[:, j]
+    + sqrt(var[j]) Z)], Z ~ N(0, 1), written into ``out`` when given;
+    ``cols`` is an index array or a slice.
 
     When every map is a `BasisMap`, all columns are smoothed in closed form
     in one vectorized call on a (k, 6) coefficient table built here, once.
@@ -221,11 +222,11 @@ def _smoother(maps):
     """
     if all(isinstance(h, BasisMap) for h in maps):
         table = np.array([h.coeffs for h in maps])
-        return lambda mu, var, cols: smooth_basis(table[cols], mu, var)
+        return lambda mu, var, cols, out=None: smooth_basis(table[cols], mu, var, out)
 
-    def quadrature(mu, var, cols):
-        out = np.empty(mu.shape)
-        for j, i in enumerate(cols):
+    def quadrature(mu, var, cols, out=None):
+        out = np.empty(mu.shape) if out is None else out
+        for j, i in enumerate(np.arange(len(maps))[cols]):
             if var[j] == 0.0:
                 out[:, j] = maps[i](mu[:, j])
             else:
@@ -321,6 +322,18 @@ def innovation_directions(ctx: GramContext) -> np.ndarray:
     return w
 
 
+def _slot_columns(weights: np.ndarray) -> list:
+    """(cols, count) per row s of ``weights``: the columns of its nonzero
+    entries as a slice when they are contiguous, else as an index array
+    (None when there are none)."""
+    nz = weights != 0.0
+    count = nz.sum(axis=1).tolist()
+    first = nz.argmax(axis=1).tolist()
+    span = (nz.shape[1] - nz[:, ::-1].argmax(axis=1)).tolist()
+    return [(slice(f, e) if e - f == c else np.flatnonzero(row) if c else None, c)
+            for row, c, f, e in zip(nz, count, first, span)]
+
+
 def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     """Predictable field u with F - E[F] ~ delta(u) (exact for linear F at
     H = 1/2 on grids containing the functional's times).
@@ -350,6 +363,13 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     it annihilates (w Sigma)[s, :s] = 0; only v - w Sigma is contracted,
     which gives the same value for any v and exactly 0 for the field's own
     correction term v = w Sigma.
+
+    Both rules run one slot loop that allocates its arrays once per call:
+    the (m, k) prefix means and one work area.  Slot s copies the means of
+    its coordinates of nonzero weight (a slice when they are contiguous)
+    into a C-contiguous block of that area and smooths them into another;
+    its prefix update adds Z_s L[i, s] only where indices[i] >= s, since L
+    is lower triangular.  Every float is the one the allocating form gives.
     """
     if fn.diag is None or fn.diag_deriv is None:
         raise ValueError(
@@ -366,6 +386,10 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     smooth_diag = _smoother(fn.diag)
     smooth_deriv = _smoother(fn.diag_deriv)
 
+    # L[indices[i], s] = 0 once indices[i] < s: slot s adds to the prefix
+    # means of coordinates first_live[s]: alone
+    first_live = np.searchsorted(fn.indices, np.arange(n)).tolist()
+
     def slot_sums(paths, smooth, weights):
         """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i], with
         only the coordinates of nonzero weight smoothed."""
@@ -374,13 +398,28 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
         # slot s overwrites Z_s once the prefix sums have taken it in.
         out = paths @ w.T
         out /= np.diag(chol)
-        mu = np.zeros((out.shape[0], fn.k))
-        for s in range(n):
-            cols = np.flatnonzero(weights[s])
-            a_s = (smooth(mu[:, cols], tail_var[s, cols], cols) @ weights[s, cols]
-                   if cols.size else 0.0)
-            mu += out[:, s, None] * rows[:, s]
-            out[:, s] = a_s
+        m, k = out.shape[0], fn.k
+        mu = np.zeros((m, k))
+        # one work area, viewed per slot as the gathered means and their
+        # smoothing, each a C-contiguous (m, kc) block, and the slot's a_s
+        work = np.empty(2 * m * k + m)
+        gathered, smoothed, a_s = work[:m * k], work[m * k:2 * m * k], work[2 * m * k:]
+        weights = np.ascontiguousarray(weights)
+        for s, (cols, kc) in enumerate(_slot_columns(weights)):
+            if kc:
+                g = gathered[:m * kc].reshape(m, kc)
+                if isinstance(cols, slice):
+                    g[...] = mu[:, cols]
+                else:
+                    np.take(mu, cols, axis=1, out=g, mode="clip")
+                np.matmul(smooth(g, tail_var[s, cols], cols,
+                                 smoothed[:m * kc].reshape(m, kc)),
+                          weights[s, cols], out=a_s)
+            if (lo := first_live[s]) < k:
+                z_l = gathered[:m * (k - lo)].reshape(m, k - lo)
+                np.multiply(out[:, s, None], rows[lo:, s], out=z_l)
+                mu[:, lo:] += z_l
+            out[:, s] = a_s if kc else 0.0
         return out
 
     def coeff_fn(paths):

@@ -1,26 +1,25 @@
-"""Time and traced memory of the samplers, the sampler statistics and the
-ensemble file I/O, at fixed sizes.
+"""Time and traced memory of the samplers, the sampler statistics, the
+ensemble file I/O and the Clark slot loop, at fixed sizes.
 
 For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 
 * `sample_ensemble` and `sample_ensemble_circulant`, with 1 and 2 workers;
-* `experiments._sampler_stats` on the dense ensemble, with 1 and 2 workers
-  (with 1 alone on a checkout whose `_sampler_stats` takes no worker
-  count: that branch only serves the ``parent`` record now in
-  BENCH_sampler.json, and goes at its next re-record);
+* `experiments._sampler_stats` on the dense ensemble, with 1 and 2 workers;
 * `write_ensemble` and `read_ensemble` of the dense ensemble;
 * ``conditioning``: a fresh Gram build, then `innovation_directions` (the
   first use of the cached ``chol_inv``) and one `regression_coefficients`
   of the last coordinate on the first half;
 
 then makes one more call of each under `tracemalloc` and records its peak
-traced bytes, and that peak less the array the call returns.  Two more
-steps time the start and the adjointness check:
+traced bytes, and that peak less the array the call returns.  Three more
+steps time the start, the adjointness check and the Clark slot loop:
 
 * ``import_cli``: ``import roughcalc.cli`` in a fresh interpreter, best of
   REPEATS, with that interpreter's peak resident set;
 * ``duality_rows``: `run_adjointness` at DUALITY_CASE, measured like the
-  steps above.
+  steps above;
+* ``clark_coeff``: the Clark field's ``coeff_fn`` on a dense fbm ensemble,
+  for each (functional, n, m, H) in CLARK_CASES, measured the same way.
 
 The record also holds nproc, the BLAS library and the thread count the
 library reports.  BLAS runs one thread unless the environment sets the thread
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import subprocess
@@ -63,11 +61,14 @@ from roughcalc.config import DEFAULTS  # noqa: E402
 from roughcalc.gaussian import (read_ensemble, regression_coefficients,  # noqa: E402
                                 sample_ensemble, sample_ensemble_circulant,
                                 write_ensemble)
-from roughcalc.malliavin import innovation_directions  # noqa: E402
+from roughcalc.functionals import make_functional  # noqa: E402
+from roughcalc.malliavin import clark_integrand, innovation_directions  # noqa: E402
 from roughcalc.models import CovarianceModel, GramContext, TimeGrid  # noqa: E402
 
 CASES = ((64, 20_000, 0.25), (1024, 20_000, 0.25))
 DUALITY_CASE = (64, 20_000, 0.25)
+# k = n coordinates per slot, and k = 1 over many slots
+CLARK_CASES = (("integral_sin", 64, 20_000, 0.25), ("quadratic", 1024, 1000, 0.25))
 WORKERS = (1, 2)
 REPEATS = 5
 SEED = 42
@@ -111,12 +112,9 @@ def _case(n: int, m: int, hurst: float, tmp: Path) -> list[dict]:
     dense = sample_ensemble(ctx, m, SEED)
     target = tmp / "ensemble.bin"
     write_ensemble(target, dense)
-    stats = experiments._sampler_stats
-    if "workers" in inspect.signature(stats).parameters:
-        steps = [("sampler_stats", w, lambda w=w: stats(ctx, dense, workers=w))
-                 for w in WORKERS]
-    else:
-        steps = [("sampler_stats", 1, lambda: stats(ctx, dense))]
+    steps = [("sampler_stats", w,
+              lambda w=w: experiments._sampler_stats(ctx, dense, workers=w))
+             for w in WORKERS]
     steps += [("write", 1, lambda: write_ensemble(target, dense)),
               ("read", 1, lambda: read_ensemble(target))]
     for step, workers, fn in steps:
@@ -161,6 +159,18 @@ def _duality_rows() -> dict:
             **_measure(lambda: experiments.run_adjointness(cfg))}
 
 
+def _clark_coeff_rows() -> list[dict]:
+    rows = []
+    for name, n, m, hurst in CLARK_CASES:
+        ctx = GramContext.build(CovarianceModel.fbm(hurst), TimeGrid.uniform_grid(n))
+        field = clark_integrand(ctx, make_functional(name, ctx.grid))
+        paths = sample_ensemble(ctx, m, SEED).paths
+        rows.append({"step": "clark_coeff", "functional": name, "n": n, "m": m,
+                     "hurst": hurst, "workers": 1,
+                     **_measure(lambda: field.coeff_fn(paths))})
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change")
@@ -168,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for case in CASES for row in _case(*case, Path(tmp))]
-    rows += [_import_cli(), _duality_rows()]
+    rows += [_import_cli(), _duality_rows(), *_clark_coeff_rows()]
     env = envinfo.collect(workers=max(WORKERS))
     del env["workers"]
     record = {"env": env, "repeats": REPEATS, "rows": rows}

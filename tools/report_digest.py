@@ -52,7 +52,11 @@ CONFIGS = (
     ("isometry",),
     ("lemma",),
     ("mixed",),
+    # every catalog functional's Clark slot loop
     ("factorize", "--set", "functional=integral_sin"),
+    ("factorize", "--set", "functional=two_time"),
+    ("factorize", "--set", "functional=terminal_exp"),
+    ("factorize", "--set", "functional=integral_square"),
     ("factorize", "--set", "model=bm", "--set", "functional=linear"),
     ("gubinelli", "--set", "model=bm", "--set", "functional=linear"),
     # the deterministic isometry row's ||u||^2 is a sample mean off the
