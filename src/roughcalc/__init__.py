@@ -21,7 +21,7 @@ from .functionals import (CylindricalFunctional, IntegralFunctional,
 from .gaussian import (PathEnsemble, RngStream, conditional_expectation,
                        conditional_law, read_ensemble, sample_ensemble,
                        sample_ensemble_circulant, write_ensemble)
-from .malliavin import (AffineField, VectorField, affine_field,
+from .malliavin import (AffineField, ClarkField, VectorField, affine_field,
                         clark_integrand, conditional_gradient,
                         conditional_value, derivative, derivative_pairing,
                         deterministic_field, divergence, field_norm_sq,
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AffineField",
+    "ClarkField",
     "ConfigError",
     "CovarianceModel",
     "CylindricalFunctional",

@@ -34,6 +34,7 @@ and equals 1 for u = X_T k_T on a unit-variance terminal coordinate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +48,7 @@ from .gaussian import conditional_expectation, expect_scalar, regression_coeffic
 __all__ = [
     "VectorField",
     "AffineField",
+    "ClarkField",
     "derivative",
     "divergence",
     "derivative_pairing",
@@ -84,6 +86,19 @@ class AffineField(VectorField):
     """a_s(x) = const[s] + lin[s] . x, with ``lin`` kept for closed forms."""
 
     lin: np.ndarray = None
+
+
+@dataclass(frozen=True)
+class ClarkField(VectorField):
+    """u_s = a_s w_s with a predictable coefficient a_s and w_s the slot
+    innovation direction (`clark_integrand`).
+
+    D a_s is a combination of k_{t_r}, r < s, and <k_{t_r}, w_s> = 0 there,
+    so the Skorokhod correction is identically 0 and the divergence on the
+    field's own paths is the Ito sum sum_s a_s I(w_s).  ``coeff_fn(paths,
+    incr=None)`` returns a new (m, n_slots) array and reads the increment
+    table ``incr = paths @ directions.T`` when its caller has formed it.
+    """
 
 
 def derivative(ctx: GramContext, fn: CylindricalFunctional, x: np.ndarray) -> np.ndarray:
@@ -158,15 +173,25 @@ def divergence(
     in the component whose ``ctx`` and ``paths`` are passed; ``chain`` is
     d(mixture)/d(component), the chain-rule factor of the correction term.
     A field without ``grad_dot`` raises MissingGradientError.
+
+    A `ClarkField` read on its own paths (``coeff_paths`` None or
+    ``paths``) is predictable in innovation directions, so its correction
+    is exactly 0 and delta(u) is its Ito sum, computed from one increment
+    table without the correction's gradient rule.
     """
     if field.grad_dot is None:
         raise MissingGradientError(
             "the divergence correction term needs the field's gradient rule"
         )
+    own = coeff_paths is None or coeff_paths is paths
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     if coeff_paths is None:
         coeff_paths = paths
     incr = paths @ field.directions.T
+    if own and isinstance(field, ClarkField):
+        a = field.coeff_fn(paths, incr)
+        a *= incr
+        return a.sum(axis=-1)
     a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
     v = field.directions @ ctx.sigma
     corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
@@ -334,7 +359,7 @@ def _slot_columns(weights: np.ndarray) -> list:
             for row, c, f, e in zip(nz, count, first, span)]
 
 
-def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
+def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> ClarkField:
     """Predictable field u with F - E[F] ~ delta(u) (exact for linear F at
     H = 1/2 on grids containing the functional's times).
 
@@ -358,18 +383,22 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
                                                        for observed i < s)
         <k_{t_i}, w_s> / ||w_s||^2 = L[i, s] / L[s, s].
 
-    ``grad_dot(paths, v)`` contracts the prefix gradient of a_s with
-    v[s, :s].  That gradient is a combination of rows of L[:s, :s]^{-1}, so
-    it annihilates (w Sigma)[s, :s] = 0; only v - w Sigma is contracted,
-    which gives the same value for any v and exactly 0 for the field's own
-    correction term v = w Sigma.
+    The field is a `ClarkField`: a predictable field in innovation
+    directions has zero Skorokhod correction, so its divergence is the Ito
+    sum sum_s a_s I(w_s).  ``grad_dot(paths, v)`` stays for a foreign v: it
+    contracts the prefix gradient of a_s with v[s, :s].  That gradient is a
+    combination of rows of L[:s, :s]^{-1}, so it annihilates (w Sigma)[s,
+    :s] = 0; only v - w Sigma is contracted, which gives the same value for
+    any v and exactly 0 for the field's own correction term v = w Sigma.
+    w Sigma is formed on the first call.
 
     Both rules run one slot loop that allocates its arrays once per call:
     the (m, k) prefix means and one work area.  Slot s copies the means of
     its coordinates of nonzero weight (a slice when they are contiguous)
     into a C-contiguous block of that area and smooths them into another;
-    its prefix update adds Z_s L[i, s] only where indices[i] >= s, since L
-    is lower triangular.  Every float is the one the allocating form gives.
+    its prefix update adds Z_s L[i, s] only where indices[i] > s, since L
+    is lower triangular and no later slot reads the coordinate observed at
+    s.  Every float is the one the allocating form gives.
     """
     if fn.diag is None or fn.diag_deriv is None:
         raise ValueError(
@@ -382,22 +411,25 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
     tail_var = np.cumsum(rows[:, ::-1] ** 2, axis=1)[:, ::-1].T  # (n, k)
     gains = (rows / np.diag(chol)).T                   # (n, k)
     w = innovation_directions(ctx)
-    w_sigma = w @ ctx.sigma
     smooth_diag = _smoother(fn.diag)
     smooth_deriv = _smoother(fn.diag_deriv)
 
-    # L[indices[i], s] = 0 once indices[i] < s: slot s adds to the prefix
-    # means of coordinates first_live[s]: alone
-    first_live = np.searchsorted(fn.indices, np.arange(n)).tolist()
+    # L[indices[i], s] = 0 once indices[i] < s, and from slot s + 1 on no
+    # weight reads indices[i] = s: slot s adds to the prefix means of
+    # coordinates first_live[s]: alone
+    first_live = np.searchsorted(fn.indices, np.arange(n), side="right").tolist()
 
-    def slot_sums(paths, smooth, weights):
+    def slot_sums(paths, smooth, weights, incr=None):
         """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i], with
-        only the coordinates of nonzero weight smoothed."""
-        paths = np.atleast_2d(np.asarray(paths, dtype=float))
+        only the coordinates of nonzero weight smoothed; ``incr`` is
+        paths @ w.T when the caller has it."""
         # Z = L^{-1} x, row by row Z_s = I(w_s) / L[s, s], fills the output;
         # slot s overwrites Z_s once the prefix sums have taken it in.
-        out = paths @ w.T
-        out /= np.diag(chol)
+        if incr is None:
+            out = np.atleast_2d(np.asarray(paths, dtype=float)) @ w.T
+            out /= np.diag(chol)
+        else:
+            out = incr / np.diag(chol)
         m, k = out.shape[0], fn.k
         mu = np.zeros((m, k))
         # one work area, viewed per slot as the gathered means and their
@@ -422,16 +454,20 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> VectorField:
             out[:, s] = a_s if kc else 0.0
         return out
 
-    def coeff_fn(paths):
-        return slot_sums(paths, smooth_diag, gains)
+    def coeff_fn(paths, incr=None):
+        return slot_sums(paths, smooth_diag, gains, incr)
+
+    @functools.cache
+    def w_sigma():
+        return w @ ctx.sigma
 
     def grad_dot(paths, v):
         # column s of y is L^{-1} (v - w Sigma)[s]; its entries r < s give
         # the contraction sum_{r<s} L[i, r] y[r, s] per coordinate i
-        y = ctx.chol_inv @ (v - w_sigma).T
+        y = ctx.chol_inv @ (v - w_sigma()).T
         scal = gains * (rows @ np.triu(y, 1)).T
         if not scal.any():
             return np.zeros((np.atleast_2d(paths).shape[0], n))
         return slot_sums(paths, smooth_deriv, scal)
 
-    return VectorField(directions=w, coeff_fn=coeff_fn, grad_dot=grad_dot)
+    return ClarkField(directions=w, coeff_fn=coeff_fn, grad_dot=grad_dot)

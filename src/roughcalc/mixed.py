@@ -149,7 +149,7 @@ def mixed_clark_fields(
     def scaled(weight: float) -> VectorField:
         return replace(
             field,
-            coeff_fn=lambda paths: weight * field.coeff_fn(paths),
+            coeff_fn=lambda paths, incr=None: weight * field.coeff_fn(paths, incr),
             grad_dot=lambda paths, v: weight * field.grad_dot(paths, v),
         )
 

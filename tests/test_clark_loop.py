@@ -6,12 +6,14 @@ means and updates all k of them each slot; the reference smoothing adds
 every live basis term into a zero-filled output.  The loop in
 `malliavin.clark_integrand` writes into reused buffers and updates only the
 coordinates still live at the slot, and must give the same floats, bit for
-bit.
+bit.  So must the Clark field's own divergence rule, its Ito sum from one
+increment table, against the generic divergence with its correction term.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from roughcalc.functionals import (BasisMap, IntegralFunctional, catalog_names,
                                    discretize_integral_functional,
                                    make_functional, smooth_basis)
 from roughcalc.gaussian import expect_scalar, sample_ensemble
-from roughcalc.malliavin import clark_integrand, innovation_directions
+from roughcalc.malliavin import clark_integrand, divergence, innovation_directions
+from roughcalc.mixed import MixedContext, mixed_clark_fields, sample_mixed
 from roughcalc.models import CovarianceModel, GramContext, TimeGrid
 
 MODELS = {
@@ -100,8 +103,22 @@ def reference_weights(ctx, fn, v=None):
     return gains * (rows @ np.triu(y, 1)).T
 
 
+def generic_divergence(ctx, field, paths, coeff_paths=None, chain=1.0):
+    """The divergence with its correction term, for any field."""
+    paths = np.atleast_2d(np.asarray(paths, dtype=float))
+    if coeff_paths is None:
+        coeff_paths = paths
+    incr = paths @ field.directions.T
+    a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
+    v = field.directions @ ctx.sigma
+    corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
+    return (a * incr).sum(axis=-1) - chain * corr.sum(axis=-1)
+
+
 def assert_loop_bit_identical(ctx, fn, paths, v):
     field = clark_integrand(ctx, fn)
+    assert np.array_equal(divergence(ctx, field, paths),
+                          generic_divergence(ctx, field, paths))
     want = reference_slot_sums(ctx, fn, paths, fn.diag, reference_weights(ctx, fn))
     assert np.array_equal(field.coeff_fn(paths), want)
     scal = reference_weights(ctx, fn, v)
@@ -179,6 +196,75 @@ def test_clark_coeff_memory_bounded_in_bytes() -> None:
     finally:
         tracemalloc.stop()
     assert peak - table.nbytes <= 3 * m * fn.k * 8 + (1 << 20)
+
+
+@pytest.fixture(scope="module")
+def large_grid():
+    """quadratic on fbm H = 0.25 at n = 1024, m = 1000, with chol_inv warm."""
+    ctx = GramContext.build(MODELS["fbm"], TimeGrid.uniform_grid(1024))
+    ctx.chol_inv
+    paths = sample_ensemble(ctx, 1000, seed=28).paths
+    return ctx, make_functional("quadratic", ctx.grid), paths
+
+
+def test_clark_divergence_bit_identical_at_n_1024(large_grid) -> None:
+    ctx, fn, paths = large_grid
+    field = clark_integrand(ctx, fn)
+    assert np.array_equal(divergence(ctx, field, paths),
+                          generic_divergence(ctx, field, paths))
+
+
+def test_clark_divergence_memory_bounded_in_bytes(large_grid) -> None:
+    # the (n, n) directions, the increment table and the coefficient table;
+    # no (n, n) product beyond the directions
+    ctx, fn, paths = large_grid
+    m, n = paths.shape
+    tracemalloc.start()
+    try:
+        divergence(ctx, clark_integrand(ctx, fn), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m * n * 8 + (2 << 20)
+
+
+def test_wrapped_clark_field_keeps_its_wrapper() -> None:
+    # a copy with a pass-through coeff_fn, as a tracer makes, runs through
+    # the wrapper under the field's own divergence rule
+    ctx = GramContext.build(MODELS["fbm"], TimeGrid.uniform_grid(16))
+    paths = sample_ensemble(ctx, 40, seed=29).paths
+    field = clark_integrand(ctx, make_functional("integral_sin", ctx.grid))
+    calls = []
+
+    def passthrough(*args, **kwargs):
+        calls.append(len(args))
+        return field.coeff_fn(*args, **kwargs)
+
+    copy = replace(field, coeff_fn=passthrough)
+    assert np.array_equal(divergence(ctx, copy, paths),
+                          generic_divergence(ctx, field, paths))
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("name", ["integral_sin", "two_time"])
+def test_mixed_clark_fields_stay_scaled(name: str) -> None:
+    mctx = MixedContext.build(CovarianceModel(0.7, 1.2, 0.25), TimeGrid.uniform_grid(12))
+    ens = sample_mixed(mctx, 40, seed=30)
+    ctx, paths = mctx.ctx_x, ens.paths_x
+    fn = make_functional(name, ctx.grid)
+    field = clark_integrand(ctx, fn)
+    a = field.coeff_fn(paths)
+    incr = paths @ field.directions.T
+    for weight, scaled in zip((mctx.alpha, mctx.beta), mixed_clark_fields(mctx, fn)):
+        assert np.array_equal(scaled.coeff_fn(paths), weight * a)
+        assert np.array_equal(scaled.coeff_fn(paths, incr), weight * a)
+        own = divergence(ctx, scaled, paths)
+        assert np.array_equal(own, generic_divergence(ctx, scaled, paths))
+        assert np.array_equal(own, (weight * a * incr).sum(axis=-1))
+        # on a component's paths the generic path reads the mixture
+        for comp_ctx, comp in ((mctx.ctx_b, ens.paths_b), (mctx.ctx_h, ens.paths_h)):
+            assert np.array_equal(divergence(comp_ctx, scaled, comp, paths, weight),
+                                  generic_divergence(comp_ctx, scaled, comp, paths, weight))
 
 
 @given(

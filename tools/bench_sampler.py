@@ -1,5 +1,6 @@
 """Time and traced memory of the samplers, the sampler statistics, the
-ensemble file I/O and the Clark slot loop, at fixed sizes.
+ensemble file I/O, the Clark slot loop and the Clark divergence, at fixed
+sizes.
 
 For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 
@@ -12,14 +13,17 @@ For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
 
 then makes one more call of each under `tracemalloc` and records its peak
 traced bytes, and that peak less the array the call returns.  Three more
-steps time the start, the adjointness check and the Clark slot loop:
+steps time the start, the adjointness check and the Clark field:
 
 * ``import_cli``: ``import roughcalc.cli`` in a fresh interpreter, best of
   REPEATS, with that interpreter's peak resident set;
 * ``duality_rows``: `run_adjointness` at DUALITY_CASE, measured like the
   steps above;
 * ``clark_coeff``: the Clark field's ``coeff_fn`` on a dense fbm ensemble,
-  for each (functional, n, m, H) in CLARK_CASES, measured the same way.
+  for each (functional, n, m, H) in CLARK_CASES, measured the same way;
+* ``clark_divergence``: `divergence` of a newly built Clark field on its own
+  dense fbm ensemble, as the factorization check forms it, for each
+  (functional, n, m, H) in DIVERGENCE_CASES, with ``chol_inv`` warm.
 
 The record also holds nproc, the BLAS library and the thread count the
 library reports.  BLAS runs one thread unless the environment sets the thread
@@ -62,13 +66,16 @@ from roughcalc.gaussian import (read_ensemble, regression_coefficients,  # noqa:
                                 sample_ensemble, sample_ensemble_circulant,
                                 write_ensemble)
 from roughcalc.functionals import make_functional  # noqa: E402
-from roughcalc.malliavin import clark_integrand, innovation_directions  # noqa: E402
+from roughcalc.malliavin import (clark_integrand, divergence,  # noqa: E402
+                                 innovation_directions)
 from roughcalc.models import CovarianceModel, GramContext, TimeGrid  # noqa: E402
 
 CASES = ((64, 20_000, 0.25), (1024, 20_000, 0.25))
 DUALITY_CASE = (64, 20_000, 0.25)
 # k = n coordinates per slot, and k = 1 over many slots
 CLARK_CASES = (("integral_sin", 64, 20_000, 0.25), ("quadratic", 1024, 1000, 0.25))
+# large_grid's conditioning shape, and twice its n
+DIVERGENCE_CASES = (("quadratic", 1024, 1000, 0.25), ("quadratic", 2048, 1000, 0.25))
 WORKERS = (1, 2)
 REPEATS = 5
 SEED = 42
@@ -159,15 +166,19 @@ def _duality_rows() -> dict:
             **_measure(lambda: experiments.run_adjointness(cfg))}
 
 
-def _clark_coeff_rows() -> list[dict]:
+def _clark_rows() -> list[dict]:
     rows = []
-    for name, n, m, hurst in CLARK_CASES:
-        ctx = GramContext.build(CovarianceModel.fbm(hurst), TimeGrid.uniform_grid(n))
-        field = clark_integrand(ctx, make_functional(name, ctx.grid))
-        paths = sample_ensemble(ctx, m, SEED).paths
-        rows.append({"step": "clark_coeff", "functional": name, "n": n, "m": m,
-                     "hurst": hurst, "workers": 1,
-                     **_measure(lambda: field.coeff_fn(paths))})
+    for step, cases in (("clark_coeff", CLARK_CASES),
+                        ("clark_divergence", DIVERGENCE_CASES)):
+        for name, n, m, hurst in cases:
+            ctx = GramContext.build(CovarianceModel.fbm(hurst), TimeGrid.uniform_grid(n))
+            fn = make_functional(name, ctx.grid)
+            field = clark_integrand(ctx, fn)  # and chol_inv, outside the timing
+            paths = sample_ensemble(ctx, m, SEED).paths
+            run = ((lambda: field.coeff_fn(paths)) if step == "clark_coeff"
+                   else lambda: divergence(ctx, clark_integrand(ctx, fn), paths))
+            rows.append({"step": step, "functional": name, "n": n, "m": m,
+                         "hurst": hurst, "workers": 1, **_measure(run)})
     return rows
 
 
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for case in CASES for row in _case(*case, Path(tmp))]
-    rows += [_import_cli(), _duality_rows(), *_clark_coeff_rows()]
+    rows += [_import_cli(), _duality_rows(), *_clark_rows()]
     env = envinfo.collect(workers=max(WORKERS))
     del env["workers"]
     record = {"env": env, "repeats": REPEATS, "rows": rows}
