@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +41,7 @@ from .energy import (GramContext, increment_element, inner_product, project_adap
                      representer)
 from .errors import ConfigError, IllConditionedModelError
 from .functionals import CylindricalFunctional, catalog_names, make_functional
-from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, conditional_law,
+from .gaussian import (BLOCK_BYTES, PathEnsemble, RngStream, _share, conditional_law,
                        sample_ensemble, sample_ensemble_circulant, write_ensemble)
 from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
                         conditional_value, deterministic_field, divergence,
@@ -603,13 +602,19 @@ def _increment_stats(paths: np.ndarray, workers: int = 1) -> tuple[np.ndarray, f
     """Sample variance (ddof 1) of each increment column, with the path
     starting at 0, and the Pearson correlation of the pooled lag-1 pairs.
 
-    The increments are formed a column block at a time and transposed, so
+    The increments are formed a column block at a time, transposed, so
     that each column reduces as one contiguous row (the same pairwise sums
-    as a column on its own); a block starts one column early so that its
-    first lag pair straddles the previous block.  When the columns span
-    more than one block of BLOCK_BYTES, up to ``workers`` threads reduce
-    blocks of BLOCK_BYTES // workers each, so the working memory does not
-    grow with workers and every figure is the same at any count.
+    as a column on its own, and the same steps as ``np.var``); a block
+    starts one column early so that its first lag pair straddles the
+    previous block.  When the columns span more than one block of
+    BLOCK_BYTES, the blocks shrink to BLOCK_BYTES // workers each and are
+    shared by the package's one worker rule (`gaussian._share`): the
+    calling thread and workers - 1 pool threads each take the next column
+    block, form its increments in one of ``workers`` buffers that the
+    calling thread allocates, and write the block's own slices.  So the
+    pool threads allocate no blocks (memory a thread allocates stays in its
+    malloc arena after the call), the working memory does not grow with
+    workers, and every figure is the same at any count.
     """
     m, n = paths.shape
     variances = np.empty(n)
@@ -619,25 +624,27 @@ def _increment_stats(paths: np.ndarray, workers: int = 1) -> tuple[np.ndarray, f
     cols = max(1, BLOCK_BYTES // (8 * m))
     if workers > 1 and n > cols:
         cols = max(1, cols // workers)
+    buffers = [np.empty((min(cols + 1, n), m)) for _ in range(workers if n > cols else 1)]
 
-    def reduce(c0):
+    def reduce(i, c0):
         c1 = min(c0 + cols, n)
         lo = max(c0 - 1, 0)
-        prev = paths[:, lo - 1:lo] if lo else 0.0
-        block = np.diff(paths[:, lo:c1], axis=1, prepend=prev).T.copy()
+        block = buffers[i][:c1 - lo]
+        if not lo:  # the path starts at 0
+            block[0] = paths[:, 0]
+        k = lo or 1
+        np.subtract(paths[:, k:c1], paths[:, k - 1:c1 - 1], out=block[k - lo:].T)
         own = block[c0 - lo:]
-        variances[c0:c1] = np.var(own, axis=1, ddof=1)
         col_sum[c0:c1] = own.sum(axis=1)
         col_sq[c0:c1] = np.einsum("ij,ij->i", own, own)
         lag[lo:c1 - 1] = np.einsum("ij,ij->i", block[:-1], block[1:])
+        # np.var's steps, in place (the sums above have read the increments),
+        # so that no temporary is allocated
+        own -= col_sum[c0:c1, None] / m
+        own *= own
+        variances[c0:c1] = own.sum(axis=1) / (m - 1)
 
-    starts = range(0, n, cols)
-    if workers <= 1 or len(starts) <= 1:
-        for c0 in starts:
-            reduce(c0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(reduce, starts))
+    _share(range(0, n, cols), reduce, len(buffers))
     # raw moments of a = columns 0..n-2 and b = columns 1..n-1
     count = m * (n - 1)
     if count == 0:
@@ -687,7 +694,16 @@ def _ks_normal(sample: np.ndarray, sd: float) -> tuple[float, float]:
     return d, float(np.clip(_kolmogorov(math.sqrt(n) * d), 0.0, 1.0))
 
 
-def _sampler_stats(ctx: GramContext, ens: PathEnsemble, workers: int = 1) -> dict:
+def _model_increment_variances(ctx: GramContext) -> list[float]:
+    """The model's variance of each grid increment, the path starting at 0."""
+    times = ctx.grid.times.tolist()
+    return [increment_variance(ctx.model, s, t) for s, t in zip([0.0] + times, times)]
+
+
+def _sampler_stats(ctx: GramContext, ens: PathEnsemble, workers: int = 1,
+                   theory: list[float] | None = None) -> dict:
+    """Marginal checks of one ensemble; ``theory`` is
+    `_model_increment_variances(ctx)`, computed here when not given."""
     model, grid, paths = ctx.model, ctx.grid, ens.paths
     m = paths.shape[0]
     terminal = paths[:, -1]
@@ -695,13 +711,11 @@ def _sampler_stats(ctx: GramContext, ens: PathEnsemble, workers: int = 1) -> dic
     theory_var = float(increment_variance(model, 0.0, float(grid.times[-1])))
     ks_stat, ks_pvalue = _ks_normal(terminal, math.sqrt(theory_var))
     variances, lag1 = _increment_stats(paths, workers)
-    t_lo = np.concatenate(([0.0], grid.times[:-1]))
+    theory = _model_increment_variances(ctx) if theory is None else theory
     se_factor = math.sqrt(2.0 / (m - 1))
     worst = 0.0
-    for i in range(grid.n):
-        v = float(variances[i])
-        theory = increment_variance(model, float(t_lo[i]), float(grid.times[i]))
-        worst = max(worst, _sigma_units(v - theory, v * se_factor))
+    for v, model_v in zip(variances.tolist(), theory, strict=True):
+        worst = max(worst, _sigma_units(v - model_v, v * se_factor))
     return {
         "sampler": ens.sampler,
         "fallback": bool(ens.fallback),
@@ -737,7 +751,8 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
     """
     ctx, dense = _setup(cfg)
     report = _report(cfg, "simulate", ctx.n)
-    rows = [_sampler_stats(ctx, dense, cfg.workers)]
+    theory = _model_increment_variances(ctx)
+    rows = [_sampler_stats(ctx, dense, cfg.workers, theory)]
     if export_path is not None:
         write_ensemble(export_path, dense)
     del dense  # one ensemble in memory at a time
@@ -747,7 +762,7 @@ def run_simulate(cfg: ExperimentConfig, export_path: str | None = None
                                          stream=STREAM_CIRCULANT,
                                          workers=cfg.workers)
         min_eig_ratio = circ.min_eig_ratio
-        rows.append(_sampler_stats(ctx, circ, cfg.workers))
+        rows.append(_sampler_stats(ctx, circ, cfg.workers, theory))
     ok = True
     for row in rows:
         row_ok = row["max_increment_sigma"] <= 5.0

@@ -21,14 +21,18 @@ Two samplers produce ensembles of paths X ~ N(0, Sigma):
 Randomness is keyed by (seed, stream, chunk): each fixed-size chunk of rows
 gets its own PCG64 generator via SeedSequence spawn keys.  Within a chunk
 the normals are drawn in row blocks of at most BLOCK_BYTES from that
-chunk's generator, in order.  Both samplers run one pipelined loop
-(`_fill_chunks`): the calling thread draws every block, in order, into one
-of ``workers`` buffers that it owns, and up to workers - 1 pool threads
-apply each block's transform (the product with L, or the half spectrum,
-inverse FFT and cumulative sum); with no more blocks than workers it runs
-inline.  So ensembles are bit-identical for any worker count, at most
-``workers`` blocks are live, and the working memory of a sampler is
-bounded in bytes, not in rows.
+chunk's generator, in order.  Every parallel loop of the package follows
+one worker rule (`_share`): the calling thread is one of the ``workers``,
+workers - 1 threads of a pool started for the call run beside it, and each
+thread takes the next item from one shared, lock-guarded iterator.  In the
+samplers' chunk loop (`_fill_chunks`) an item is a row block: a thread
+draws the block's normals while it holds the lock, so the draws stay in
+block order, then applies the block's transform (the product with L, or the
+half spectrum, inverse FFT and cumulative sum) in its own buffer, one of
+``workers`` that the calling thread allocates; with no more blocks than
+workers the loop runs inline.  So ensembles are bit-identical for any
+worker count, at most ``workers`` blocks are live, and the working memory
+of a sampler is bounded in bytes, not in rows.
 
 Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
 X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
@@ -50,6 +54,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -124,19 +129,52 @@ def _row_blocks(lo: int, hi: int, row_bytes: int):
     return [(b0, min(b0 + step, hi)) for b0 in range(lo, hi, step)]
 
 
+def _share(items, work, workers, lead=lambda i, item: item):
+    """Run ``work(i, item)`` on every item, on ``workers`` threads.
+
+    Thread 0 is the calling thread, and threads 1 .. workers - 1 are a pool
+    started for the call.  Each thread takes the next item of one shared
+    iterator under a lock, and ``lead(i, item)`` runs before the lock is
+    released, so it sees the items in order; its result goes to ``work``
+    in place of the item.  After an exception no thread takes another
+    item, and the exception reaches the caller once every thread has
+    stopped.
+    """
+    items, lock, failed = iter(items), threading.Lock(), []
+
+    def run(i):
+        try:
+            while True:
+                with lock:
+                    item = None if failed else next(items, None)
+                    if item is None:
+                        return
+                    item = lead(i, item)
+                work(i, item)
+        except BaseException:
+            failed.append(i)
+            raise
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        others = [pool.submit(run, i) for i in range(1, workers)]
+        run(0)
+    for future in others:
+        future.result()
+
+
 def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
-    """Fill m rows through the pipelined chunk loop.
+    """Fill m rows, a row block at a time, on ``workers`` threads.
 
     Chunk c's generator draws, in order, each pass's row blocks of ``width``
     normals per row, and the pass's ``apply(z, b0, b1, tmp)`` maps the
-    block z of rows b0:b1 into its output.  The calling thread draws every
-    block; up to workers - 1 pool threads apply them, so at most
-    ``workers`` blocks are live.  Block k goes to slot k % workers, whose
-    buffer, sized to the largest block it takes, and ``tmp = scratch(rows)``
-    are allocated here, by the calling thread, once per call.  With no more
-    blocks than workers no slot is reused and the draws overlap little of
-    the transforms, so the loop runs inline.  The draws do not depend on
-    workers.
+    block z of rows b0:b1 into its output.  Through `_share`, the calling
+    thread and workers - 1 pool threads each take the next block, draw its
+    normals while still holding the lock, so the draws stay in block order,
+    and apply it in their own buffer.  So at most ``workers`` blocks are
+    live.  The buffers, sized to the largest block, and ``tmp =
+    scratch(rows)`` are allocated here, by the calling thread, once per
+    call.  With no more blocks than workers the threads would overlap
+    little, so the loop runs inline.  The draws do not depend on workers.
     """
     rng = RngStream(seed, stream)
     blocks = []
@@ -145,26 +183,16 @@ def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
         blocks += [(gen, apply, b0, b1) for apply in passes
                    for b0, b1 in _row_blocks(lo, hi, 8 * width)]
     count = workers if len(blocks) > workers > 1 else 1
-    slots = []
-    for s in range(count):
-        rows = max(b1 - b0 for _, _, b0, b1 in blocks[s::count])
-        slots.append((np.empty((rows, width)), scratch(rows) if scratch else None))
-    if count == 1:
-        z, tmp = slots[0]
-        for gen, apply, b0, b1 in blocks:
-            apply(gen.standard_normal(out=z[:b1 - b0]), b0, b1, tmp)
-        return
-    busy = [None] * len(slots)
-    with ThreadPoolExecutor(max_workers=len(slots) - 1) as pool:
-        for k, (gen, apply, b0, b1) in enumerate(blocks):
-            s = k % len(slots)
-            if busy[s] is not None:
-                busy[s].result()  # the block before in this slot is done
-            z, tmp = slots[s]
-            busy[s] = pool.submit(apply, gen.standard_normal(out=z[:b1 - b0]),
-                                  b0, b1, tmp)
-        for future in busy:
-            future.result()
+    rows = max(b1 - b0 for _, _, b0, b1 in blocks)
+    buffers = [(np.empty((rows, width)), scratch(rows) if scratch else None)
+               for _ in range(count)]
+
+    def draw(i, block):
+        gen, apply, b0, b1 = block
+        z, tmp = buffers[i]
+        return functools.partial(apply, gen.standard_normal(out=z[:b1 - b0]), b0, b1, tmp)
+
+    _share(blocks, lambda i, transform: transform(), count, lead=draw)
 
 
 def _sample_dense(factors, m: int, seed: int, stream: int, workers: int

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -205,6 +208,49 @@ def test_increment_stats_bit_identical_across_workers(n: int) -> None:
             assert math.isnan(row.pop("lag1_increment_corr"))
             assert math.isnan(one.pop("lag1_increment_corr", math.nan))
         assert row == one
+
+
+def test_increment_stats_variances_are_np_var_of_the_increment_rows(monkeypatch) -> None:
+    # blocks of 8 columns (4 at 2 and 3 workers): the in-place variance of
+    # each block row takes the same steps as np.var of the whole increment
+    # row; with more workers than cores, switching threads often
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 8 * 1000)
+    paths = np.cumsum(np.random.default_rng(5).standard_normal((1000, 61)), axis=1)
+    want = np.var(np.diff(paths, axis=1, prepend=0.0).T.copy(), axis=1, ddof=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            variances, _ = experiments._increment_stats(paths, workers)
+            assert np.array_equal(variances, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_increment_stats_error_reaches_caller_and_stops_its_threads(monkeypatch) -> None:
+    # 64 columns of 1000 paths span 16 column blocks at 2 workers; the
+    # failing block is taken once by the calling thread and once by the
+    # pool thread
+    baseline = threading.active_count()
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 8 * 1000)
+    for on_caller in (True, False):
+        failed = []
+
+        class Failing(np.ndarray):
+            def __getitem__(self, key):
+                time.sleep(0.002)
+                caller = threading.current_thread() is threading.main_thread()
+                column = key[1].start if isinstance(key[1], slice) else key[1]
+                if column >= 32 and caller == on_caller:
+                    failed.append(caller)
+                    raise RuntimeError("column block failed")
+                return np.asarray(self)[key]
+
+        paths = np.random.default_rng(3).standard_normal((1000, 64)).view(Failing)
+        with pytest.raises(RuntimeError, match="column block failed"):
+            experiments._increment_stats(paths, workers=2)
+        assert failed == [on_caller]
+        assert threading.active_count() == baseline
 
 
 def test_sampler_stats_working_memory_is_bounded_in_bytes() -> None:

@@ -14,7 +14,7 @@ import pytest
 from roughcalc import gaussian
 from roughcalc.energy import GramContext
 from roughcalc.errors import UnsupportedDimensionError
-from roughcalc.gaussian import (BLOCK_BYTES, CHUNK_ROWS, ConditionalLaw, PathEnsemble,
+from roughcalc.gaussian import (CHUNK_ROWS, ConditionalLaw, PathEnsemble,
                                 RngStream, conditional_expectation,
                                 conditional_law, expect_scalar,
                                 read_ensemble, regression_coefficients,
@@ -196,19 +196,29 @@ def test_samplers_bit_identical_across_workers(draw) -> None:
         assert all(np.array_equal(a, b) for a, b in zip(one, other, strict=True))
 
 
-def test_pipeline_error_reaches_caller_and_stops_its_threads() -> None:
+def test_pipeline_error_reaches_caller_and_stops_its_threads(monkeypatch) -> None:
+    # the failing block is taken once by the calling thread and once by a
+    # pool thread; blocks of 16 rows draw far faster than the transform
+    # sleeps, so every thread takes blocks past the threshold
     baseline = threading.active_count()
-    m, width = CHUNK_ROWS + 2000, 512
+    m, width = 200, 64
+    monkeypatch.setattr(gaussian, "BLOCK_BYTES", 16 * 8 * width)
     out = np.empty((m, width))
+    for on_caller in (True, False):
+        failed = []
 
-    def apply(z, b0, b1, _):
-        if b0 >= 4 * (BLOCK_BYTES // (8 * width)):  # a block after the pool started
-            raise RuntimeError("transform failed")
-        out[b0:b1] = z
+        def apply(z, b0, b1, _):
+            time.sleep(0.005)
+            caller = threading.current_thread() is threading.main_thread()
+            if b0 >= 64 and caller == on_caller:
+                failed.append(caller)
+                raise RuntimeError("transform failed")
+            out[b0:b1] = z
 
-    with pytest.raises(RuntimeError, match="transform failed"):
-        gaussian._fill_chunks(m, 5, 0, width, [apply], workers=3)
-    assert threading.active_count() == baseline
+        with pytest.raises(RuntimeError, match="transform failed"):
+            gaussian._fill_chunks(m, 5, 0, width, [apply], workers=3)
+        assert set(failed) == {on_caller}
+        assert threading.active_count() == baseline
 
 
 def test_pipeline_reuses_a_buffer_only_after_its_block_is_applied(monkeypatch) -> None:
@@ -236,7 +246,8 @@ def test_pipeline_reuses_a_buffer_only_after_its_block_is_applied(monkeypatch) -
 
 
 def test_pipeline_runs_inline_with_no_more_blocks_than_workers() -> None:
-    # two chunks of one block each: at 2 workers no slot would be reused
+    # two chunks of one block each: at 2 workers no thread would take a
+    # second block
     threads = set()
 
     def apply(z, b0, b1, _):
@@ -244,8 +255,17 @@ def test_pipeline_runs_inline_with_no_more_blocks_than_workers() -> None:
 
     gaussian._fill_chunks(CHUNK_ROWS + 2000, 5, 0, 64, [apply], workers=2)
     assert threads == {threading.main_thread()}
-    gaussian._fill_chunks(CHUNK_ROWS + 2000, 5, 0, 64, [apply, apply], workers=2)
+
+    # four blocks that take time to apply spread over both threads, the
+    # calling thread among them
+    def slow(z, b0, b1, _):
+        time.sleep(0.01)
+        apply(z, b0, b1, _)
+
+    threads.clear()
+    gaussian._fill_chunks(CHUNK_ROWS + 2000, 5, 0, 64, [slow, slow], workers=2)
     assert len(threads) == 2
+    assert threading.main_thread() in threads
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS, ids=["dense", "circulant"])

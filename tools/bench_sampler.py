@@ -12,8 +12,16 @@ For fbm at each (n, m, H) in CASES it times, best of REPEATS calls:
   of the last coordinate on the first half;
 
 then makes one more call of each under `tracemalloc` and records its peak
-traced bytes, and that peak less the array the call returns.  Three more
-steps time the start, the adjointness check and the Clark field:
+traced bytes, and that peak less the array the call returns.  More steps
+measure the resident set, the start, the adjointness check and the Clark
+field:
+
+* ``simulate_rss``: `run_simulate` at SIMULATE_CASE with SIMULATE_WORKERS
+  workers in a fresh interpreter, with its ru_maxrss and the VmRSS left
+  after the call.  tracemalloc does not see the memory that malloc arenas
+  and BLAS buffers keep, and these do.  The step runs first, while this
+  process is small: a child's ru_maxrss starts from the resident set of the
+  process that spawned it;
 
 * ``import_cli``: ``import roughcalc.cli`` in a fresh interpreter, best of
   REPEATS, with that interpreter's peak resident set;
@@ -77,6 +85,8 @@ CLARK_CASES = (("integral_sin", 64, 20_000, 0.25), ("quadratic", 1024, 1000, 0.2
 # large_grid's conditioning shape, and twice its n
 DIVERGENCE_CASES = (("quadratic", 1024, 1000, 0.25), ("quadratic", 2048, 1000, 0.25))
 WORKERS = (1, 2)
+SIMULATE_CASE = (1024, 20_000, 0.25)
+SIMULATE_WORKERS = 2
 REPEATS = 5
 SEED = 42
 MIB = float(1 << 20)
@@ -158,6 +168,36 @@ def _import_cli() -> dict:
             "peak_rss_mib": round(hwm_kib / 1024, 1)}
 
 
+_SIMULATE_PROBE = """
+import dataclasses, resource, sys, time
+from roughcalc import experiments
+from roughcalc.config import DEFAULTS
+n, m, hurst, workers, seed = (float(a) for a in sys.argv[1:])
+cfg = dataclasses.replace(DEFAULTS, model="fbm", hurst=hurst, grid_n=int(n),
+                          paths=int(m), seed=int(seed), workers=int(workers))
+start = time.perf_counter()
+experiments.run_simulate(cfg)
+elapsed = time.perf_counter() - start
+print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+      *[line.split()[1] for line in open('/proc/self/status')
+        if line.startswith('VmRSS:')])
+"""
+
+
+def _simulate_rss() -> dict:
+    n, m, hurst = SIMULATE_CASE
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", _SIMULATE_PROBE,
+            *map(str, (n, m, hurst, SIMULATE_WORKERS, SEED))]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    elapsed, maxrss_kib, rss_kib = float(out[0]), int(out[1]), int(out[2])
+    return {"step": "simulate_rss", "n": n, "m": m, "hurst": hurst,
+            "workers": SIMULATE_WORKERS, "wall_s": round(elapsed, 4),
+            "ru_maxrss_mib": round(maxrss_kib / 1024, 1),
+            "rss_after_mib": round(rss_kib / 1024, 1)}
+
+
 def _duality_rows() -> dict:
     n, m, hurst = DUALITY_CASE
     cfg = dataclasses.replace(DEFAULTS, model="fbm", hurst=hurst, grid_n=n, paths=m,
@@ -187,8 +227,9 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="change")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    rows = [_simulate_rss()]
     with tempfile.TemporaryDirectory() as tmp:
-        rows = [row for case in CASES for row in _case(*case, Path(tmp))]
+        rows += [row for case in CASES for row in _case(*case, Path(tmp))]
     rows += [_import_cli(), _duality_rows(), *_clark_rows()]
     env = envinfo.collect(workers=max(WORKERS))
     del env["workers"]
