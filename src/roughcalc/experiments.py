@@ -48,7 +48,7 @@ from .malliavin import (VectorField, _pairings, affine_field, clark_integrand,
                         field_coefficients, field_norm_sq, increment_directions,
                         isometry_defect_affine, predictable_projection)
 from .mixed import MixedContext, sample_mixed
-from .models import CovarianceModel, increment_variance
+from .models import CovarianceModel, covariance, increment_variance
 from .reporting import ExperimentReport, float_label
 
 __all__ = [
@@ -174,21 +174,26 @@ def _duality_rows(report: ExperimentReport, paths: np.ndarray, parts, fields) ->
     coefficients read, and ``parts`` the weighted components (ctx, component
     paths, weight) of X: one part of weight 1 for bm/fbm, B then B^H for a
     mixture.  delta(u) and <DF, u> are sums over the parts, started from 0.
-    Each gradient is computed once and each field's coefficient table once,
-    one field at a time; rows are added functional by functional.  Every row
-    carries the paired SE of the per-path gap.
+    Only the divergences read the component paths: once they are formed,
+    ``parts`` is emptied, so a caller that holds the components nowhere
+    else frees them before the gradients are computed.  Each gradient is
+    computed once and each field's coefficient table once, one field at a
+    time; rows are added functional by functional.  Every row carries the
+    paired SE of the per-path gap.
     """
     fns = [make_functional(name, parts[0][0].grid) for name in catalog_names()]
     values = [fn.values(paths) for fn in fns]
     deltas = [sum(divergence(ctx, u, own, paths, weight) for ctx, own, weight in parts)
               for _, u in fields]
+    weighted = [(ctx, weight) for ctx, _, weight in parts]
+    parts.clear()
     grads = [fn.gradient(paths) for fn in fns]
     rows = [[] for _ in fns]
     worst = 0.0
     for (field_name, u), delta in zip(fields, deltas):
         pairings = [0.0] * len(fns)  # frees the last field's sums first
         v = field_coefficients(u, paths)
-        for ctx, _, weight in parts:
+        for ctx, weight in weighted:
             pairings = [total + weight * p
                         for total, p in zip(pairings, _pairings(ctx, fns, grads, v))]
         del v  # before the next field's table is built
@@ -695,9 +700,14 @@ def _ks_normal(sample: np.ndarray, sd: float) -> tuple[float, float]:
 
 
 def _model_increment_variances(ctx: GramContext) -> list[float]:
-    """The model's variance of each grid increment, the path starting at 0."""
-    times = ctx.grid.times.tolist()
-    return [increment_variance(ctx.model, s, t) for s, t in zip([0.0] + times, times)]
+    """The model's variance of each grid increment, the path starting at 0:
+    `increment_variance`'s R(t,t) - 2 R(t,s) + R(s,s), evaluated once over
+    the grid arrays, with s the previous time."""
+    t = ctx.grid.times
+    s = np.concatenate(([0.0], t[:-1]))
+    model = ctx.model
+    return (covariance(model, t, t) - 2.0 * covariance(model, t, s)
+            + covariance(model, s, s)).tolist()
 
 
 def _sampler_stats(ctx: GramContext, ens: PathEnsemble, workers: int = 1,
@@ -796,17 +806,21 @@ def run_mixed(cfg: ExperimentConfig) -> ExperimentReport:
     pipeline bit for bit (the B block consumes each chunk's leading normal
     draws) and alpha = 0 matches the fractional pipeline in distribution.
     The mixture's Clark residual, taken in the X geometry, is
-    ``run_factorization`` with model=mixed.
+    ``run_factorization`` with model=mixed.  The component paths B and B^H
+    are held only in the parts handed to `_duality_rows`, which releases
+    them once the divergences are formed; the pairings read X alone.
     """
     cfg.require_statistical()
     mctx = MixedContext.build(cfg.covariance_model(), cfg.grid())
     ens = sample_mixed(mctx, cfg.paths, cfg.seed, stream=STREAM_PRIMARY,
                        workers=cfg.workers)
     report = _report(cfg, "mixed", mctx.ctx_x.n)
+    paths_x = ens.paths_x
     parts = [(ctx, own, weight) for ctx, own, weight in (
         (mctx.ctx_b, ens.paths_b, mctx.alpha), (mctx.ctx_h, ens.paths_h, mctx.beta))
         if weight != 0.0]
-    worst = _duality_rows(report, ens.paths_x, parts, _test_fields(mctx.ctx_x))
+    del ens
+    worst = _duality_rows(report, paths_x, parts, _test_fields(mctx.ctx_x))
     return _summarize(report, alpha=mctx.alpha, beta=mctx.beta,
                       rows=len(report.results), max_sigma=worst,
                       jitter_x=mctx.ctx_x.jitter)

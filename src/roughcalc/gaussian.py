@@ -20,11 +20,11 @@ Two samplers produce ensembles of paths X ~ N(0, Sigma):
 
 Randomness is keyed by (seed, stream, chunk): each fixed-size chunk of rows
 gets its own PCG64 generator via SeedSequence spawn keys.  Within a chunk
-the normals are drawn in row blocks of at most BLOCK_BYTES from that
-chunk's generator, in order.  Every parallel loop of the package follows
-one worker rule (`_share`): the calling thread is one of the ``workers``,
-workers - 1 threads of a pool started for the call run beside it, and each
-thread takes the next item from one shared, lock-guarded iterator.  In the
+the normals are drawn in row blocks from that chunk's generator, in order.
+Every parallel loop of the package follows one worker rule (`_share`): the
+calling thread is one of the ``workers``, workers - 1 threads of a pool
+started for the call run beside it, and each thread takes the next item
+from one shared, lock-guarded iterator.  In the
 samplers' chunk loop (`_fill_chunks`) an item is a row block: a thread
 draws the block's normals while it holds the lock, so the draws stay in
 block order, then applies the block's transform (the product with L, or the
@@ -32,7 +32,15 @@ half spectrum, inverse FFT and cumulative sum) in its own buffer, one of
 ``workers`` that the calling thread allocates; with no more blocks than
 workers the loop runs inline.  So ensembles are bit-identical for any
 worker count, at most ``workers`` blocks are live, and the working memory
-of a sampler is bounded in bytes, not in rows.
+of a sampler is bounded in bytes, not in rows:
+
+* the dense sampler's blocks hold at most BLOCK_BYTES of normals each, so
+  its working memory is workers x BLOCK_BYTES.  Its product with L is one
+  gemm per block, and BLAS gives different bits for different row counts,
+  so the blocks keep one size at every worker count;
+* the circulant sampler's blocks are sized so that the normals and half
+  spectra of all workers fit in BLOCK_BYTES together.  Its transform acts
+  row by row, so the block size does not change a bit of the paths.
 
 Conditioning reads the cached Cholesky factor L of Sigma.  The paths are
 X = L Z with whitened innovations Z = L^{-1} X, and Z_{:j} is a function of
@@ -162,7 +170,8 @@ def _share(items, work, workers, lead=lambda i, item: item):
         future.result()
 
 
-def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
+def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None,
+                 row_bytes=None):
     """Fill m rows, a row block at a time, on ``workers`` threads.
 
     Chunk c's generator draws, in order, each pass's row blocks of ``width``
@@ -175,13 +184,21 @@ def _fill_chunks(m, seed, stream, width, passes, workers, scratch=None):
     scratch(rows)`` are allocated here, by the calling thread, once per
     call.  With no more blocks than workers the threads would overlap
     little, so the loop runs inline.  The draws do not depend on workers.
+
+    A block holds at most BLOCK_BYTES // row_bytes rows.  The default
+    ``row_bytes`` is the normals alone, 8 * width, so the dense sampler
+    keeps one BLOCK_BYTES of normals per worker, ``workers`` x BLOCK_BYTES
+    in all: its product with L is one gemm per block, whose bits depend on
+    the block's row count, so its blocks must not change with workers.  A
+    row-independent transform can charge every buffer of every worker to
+    ``row_bytes`` and so hold BLOCK_BYTES in all.
     """
     rng = RngStream(seed, stream)
     blocks = []
     for c, (lo, hi) in enumerate(_chunk_bounds(m)):
         gen = rng.generator(c)
         blocks += [(gen, apply, b0, b1) for apply in passes
-                   for b0, b1 in _row_blocks(lo, hi, 8 * width)]
+                   for b0, b1 in _row_blocks(lo, hi, row_bytes or 8 * width)]
     count = workers if len(blocks) > workers > 1 else 1
     rows = max(b1 - b0 for _, _, b0, b1 in blocks)
     buffers = [(np.empty((rows, width)), scratch(rows) if scratch else None)
@@ -245,6 +262,13 @@ def sample_ensemble_circulant(
 
     Falls back to the dense Cholesky sampler (with ``fallback=True``) if the
     embedding spectrum dips below -1e-9 times its maximum.
+
+    Every buffer live in one call fits in BLOCK_BYTES together: each of the
+    ``workers`` threads holds 2n normals and n + 1 complex half-spectrum
+    coefficients per row of its block, and the row blocks are sized to
+    that sum over all workers.  Fill, inverse FFT and cumulative sum act
+    row by row, so the paths do not depend on the block size, nor on
+    workers.
     """
     model = ctx.model
     if model.alpha and model.beta:
@@ -284,7 +308,8 @@ def sample_ensemble_circulant(
         np.cumsum(fgn[:, :n], axis=1, out=out[b0:b1])
 
     _fill_chunks(m, seed, stream, m_emb, [transform], workers,
-                 scratch=lambda rows: np.zeros((rows, n + 1), dtype=complex))
+                 scratch=lambda rows: np.zeros((rows, n + 1), dtype=complex),
+                 row_bytes=workers * (8 * m_emb + 16 * (n + 1)))
     out.setflags(write=False)
     return PathEnsemble(out, seed, "circulant", min_eig_ratio=ratio)
 

@@ -98,6 +98,9 @@ class ClarkField(VectorField):
     field's own paths is the Ito sum sum_s a_s I(w_s).  ``coeff_fn(paths,
     incr=None)`` returns a new (m, n_slots) array and reads the increment
     table ``incr = paths @ directions.T`` when its caller has formed it.
+    ``coeff_fn(paths, incr, ito=c)`` holds no second table: it overwrites
+    column s of ``incr`` with the Ito term (c a_s) I(w_s) and returns
+    ``incr``, whose row sums are c times the Ito sum.
     """
 
 
@@ -176,8 +179,10 @@ def divergence(
 
     A `ClarkField` read on its own paths (``coeff_paths`` None or
     ``paths``) is predictable in innovation directions, so its correction
-    is exactly 0 and delta(u) is its Ito sum, computed from one increment
-    table without the correction's gradient rule.
+    is exactly 0 and delta(u) is its Ito sum, formed inside its one
+    increment table (``coeff_fn(paths, incr, ito=1.0)``) without the
+    correction's gradient rule.  Other fields multiply their coefficients
+    into the increment table in place.
     """
     if field.grad_dot is None:
         raise MissingGradientError(
@@ -189,13 +194,11 @@ def divergence(
         coeff_paths = paths
     incr = paths @ field.directions.T
     if own and isinstance(field, ClarkField):
-        a = field.coeff_fn(paths, incr)
-        a *= incr
-        return a.sum(axis=-1)
+        return field.coeff_fn(paths, incr, ito=1.0).sum(axis=-1)
     a = np.asarray(field.coeff_fn(coeff_paths), dtype=float)
     v = field.directions @ ctx.sigma
     corr = np.asarray(field.grad_dot(coeff_paths, v), dtype=float)
-    return (a * incr).sum(axis=-1) - chain * corr.sum(axis=-1)
+    return np.multiply(a, incr, out=incr).sum(axis=-1) - chain * corr.sum(axis=-1)
 
 
 def _pairings(ctx: GramContext, fns, grads, v: np.ndarray) -> list[np.ndarray]:
@@ -398,7 +401,10 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> ClarkField:
     into a C-contiguous block of that area and smooths them into another;
     its prefix update adds Z_s L[i, s] only where indices[i] > s, since L
     is lower triangular and no later slot reads the coordinate observed at
-    s.  Every float is the one the allocating form gives.
+    s.  Every float is the one the allocating form gives.  The divergence
+    runs the coefficient rule in its Ito form, which reads Z_s = I(w_s) /
+    L[s, s] column by column into the work area and writes a_s I(w_s) back
+    over I(w_s), so no (m, n) table is made beyond the increments.
     """
     if fn.diag is None or fn.diag_deriv is None:
         raise ValueError(
@@ -419,23 +425,30 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> ClarkField:
     # coordinates first_live[s]: alone
     first_live = np.searchsorted(fn.indices, np.arange(n), side="right").tolist()
 
-    def slot_sums(paths, smooth, weights, incr=None):
+    def slot_sums(paths, smooth, weights, incr=None, ito=None):
         """out[:, s] = sum_i E[maps[i](X_i) | X_{< s}] weights[s, i], with
         only the coordinates of nonzero weight smoothed; ``incr`` is
-        paths @ w.T when the caller has it."""
+        paths @ w.T when the caller has it.  With ``ito`` given, ``incr``
+        itself becomes the output, column s the Ito term (ito a_s) I(w_s)."""
         # Z = L^{-1} x, row by row Z_s = I(w_s) / L[s, s], fills the output;
-        # slot s overwrites Z_s once the prefix sums have taken it in.
-        if incr is None:
+        # slot s overwrites Z_s once the prefix sums have taken it in.  The
+        # Ito form divides column s into the work area instead.
+        diag = np.diag(chol)
+        if ito is not None:
+            out = incr
+        elif incr is None:
             out = np.atleast_2d(np.asarray(paths, dtype=float)) @ w.T
-            out /= np.diag(chol)
+            out /= diag
         else:
-            out = incr / np.diag(chol)
+            out = incr / diag
         m, k = out.shape[0], fn.k
         mu = np.zeros((m, k))
         # one work area, viewed per slot as the gathered means and their
-        # smoothing, each a C-contiguous (m, kc) block, and the slot's a_s
-        work = np.empty(2 * m * k + m)
-        gathered, smoothed, a_s = work[:m * k], work[m * k:2 * m * k], work[2 * m * k:]
+        # smoothing, each a C-contiguous (m, kc) block, the slot's a_s and
+        # its Z_s
+        work = np.empty(2 * m * k + 2 * m)
+        gathered, smoothed = work[:m * k], work[m * k:2 * m * k]
+        a_s, z_s = work[2 * m * k:2 * m * k + m], work[2 * m * k + m:]
         weights = np.ascontiguousarray(weights)
         for s, (cols, kc) in enumerate(_slot_columns(weights)):
             if kc:
@@ -448,14 +461,21 @@ def clark_integrand(ctx: GramContext, fn: CylindricalFunctional) -> ClarkField:
                                  smoothed[:m * kc].reshape(m, kc)),
                           weights[s, cols], out=a_s)
             if (lo := first_live[s]) < k:
+                z = out[:, s] if ito is None else np.divide(out[:, s], diag[s], out=z_s)
                 z_l = gathered[:m * (k - lo)].reshape(m, k - lo)
-                np.multiply(out[:, s, None], rows[lo:, s], out=z_l)
+                np.multiply(z[:, None], rows[lo:, s], out=z_l)
                 mu[:, lo:] += z_l
-            out[:, s] = a_s if kc else 0.0
+            if ito is None:
+                out[:, s] = a_s if kc else 0.0
+            elif kc:
+                a_s *= ito
+                out[:, s] *= a_s
+            else:  # (ito 0.0) I(w_s), ito being a nonnegative weight
+                out[:, s] *= 0.0
         return out
 
-    def coeff_fn(paths, incr=None):
-        return slot_sums(paths, smooth_diag, gains, incr)
+    def coeff_fn(paths, incr=None, ito=None):
+        return slot_sums(paths, smooth_diag, gains, incr, ito)
 
     @functools.cache
     def w_sigma():

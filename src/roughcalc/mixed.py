@@ -142,15 +142,19 @@ def mixed_clark_fields(
     correction in the Sigma_X geometry, so mixed_divergence of the pair is
     divergence(ctx_x, clark_integrand(ctx_x, fn), paths_x).  At weight 0 a
     component field is identically zero and the other one reproduces the
-    pure pipeline.
+    pure pipeline.  In the Ito form (``coeff_fn(paths, incr, ito=c)``) a
+    scaled field passes ``ito=weight * c``, so its terms stay (weight a_s)
+    I(w_s).
     """
     field = clark_integrand(mctx.ctx_x, fn)
 
     def scaled(weight: float) -> VectorField:
-        return replace(
-            field,
-            coeff_fn=lambda paths, incr=None: weight * field.coeff_fn(paths, incr),
-            grad_dot=lambda paths, v: weight * field.grad_dot(paths, v),
-        )
+        def coeff_fn(paths, incr=None, ito=None):
+            if ito is None:
+                return weight * field.coeff_fn(paths, incr)
+            return field.coeff_fn(paths, incr, ito=weight * ito)
+
+        return replace(field, coeff_fn=coeff_fn,
+                       grad_dot=lambda paths, v: weight * field.grad_dot(paths, v))
 
     return scaled(mctx.alpha), scaled(mctx.beta)

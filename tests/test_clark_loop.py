@@ -6,8 +6,9 @@ means and updates all k of them each slot; the reference smoothing adds
 every live basis term into a zero-filled output.  The loop in
 `malliavin.clark_integrand` writes into reused buffers and updates only the
 coordinates still live at the slot, and must give the same floats, bit for
-bit.  So must the Clark field's own divergence rule, its Ito sum from one
-increment table, against the generic divergence with its correction term.
+bit.  So must the Clark field's own divergence rule, its Ito sum formed
+inside one increment table, against the generic divergence with its
+correction term, signed zeros included.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughcalc.functionals import (BasisMap, IntegralFunctional, catalog_names,
-                                   discretize_integral_functional,
+from roughcalc.functionals import (BasisMap, IntegralFunctional, _separable,
+                                   catalog_names, discretize_integral_functional,
                                    make_functional, smooth_basis)
 from roughcalc.gaussian import expect_scalar, sample_ensemble
 from roughcalc.malliavin import clark_integrand, divergence, innovation_directions
@@ -115,12 +116,28 @@ def generic_divergence(ctx, field, paths, coeff_paths=None, chain=1.0):
     return (a * incr).sum(axis=-1) - chain * corr.sum(axis=-1)
 
 
+def assert_same_bits(got, want):
+    """Equal values and equal signs, so that 0.0 and -0.0 differ."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_ito_table(field, paths, a, weight=1.0):
+    """The Ito form overwrites the increment table with (weight a) incr."""
+    incr = paths @ field.directions.T
+    want = (weight * a) * incr
+    got = field.coeff_fn(paths, incr, ito=1.0)
+    assert got is incr
+    assert_same_bits(got, want)
+
+
 def assert_loop_bit_identical(ctx, fn, paths, v):
     field = clark_integrand(ctx, fn)
-    assert np.array_equal(divergence(ctx, field, paths),
-                          generic_divergence(ctx, field, paths))
+    assert_same_bits(divergence(ctx, field, paths),
+                     generic_divergence(ctx, field, paths))
     want = reference_slot_sums(ctx, fn, paths, fn.diag, reference_weights(ctx, fn))
-    assert np.array_equal(field.coeff_fn(paths), want)
+    assert_same_bits(field.coeff_fn(paths), want)
+    assert_ito_table(field, paths, want)
     scal = reference_weights(ctx, fn, v)
     if not scal.any():  # a linear F: no correction weights at all
         assert np.array_equal(field.grad_dot(paths, v), np.zeros(paths.shape))
@@ -166,6 +183,21 @@ def test_slot_loop_bit_identical_with_scattered_weights() -> None:
     assert scattered
     paths = rng.normal(size=(30, n)) @ chol.T
     assert_loop_bit_identical(ctx, fn, paths, v)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_slot_loop_bit_identical_with_empty_slots(model: str) -> None:
+    # a functional of two mid-path coordinates: slots after the later one
+    # have no nonzero weight, and their Ito terms 0.0 I(w_s) keep the sign
+    # of each increment
+    ctx = GramContext.build(MODELS[model], TimeGrid.uniform_grid(12))
+    fn = _separable("mid_path", (2, 5), (BasisMap.of(sin=1.0), BasisMap.of(v2=1.0)))
+    assert not reference_weights(ctx, fn)[6:].any()
+    paths = sample_ensemble(ctx, 40, seed=31).paths
+    assert_loop_bit_identical(ctx, fn, paths, correction_input(ctx.n, 32))
+    incr = paths @ innovation_directions(ctx).T
+    table = clark_integrand(ctx, fn).coeff_fn(paths, incr, ito=1.0)
+    assert np.signbit(table[:, 6:]).any() and not table[:, 6:].any()
 
 
 def test_slot_loop_bit_identical_through_quadrature() -> None:
@@ -228,6 +260,25 @@ def test_clark_divergence_memory_bounded_in_bytes(large_grid) -> None:
     assert peak <= 3 * m * n * 8 + (2 << 20)
 
 
+def test_clark_divergence_holds_one_table_beyond_the_paths() -> None:
+    # n = 64, m = 20 000, k = 1: the increment table is 10 MiB, and the Ito
+    # sum is formed inside it; beyond it the slot loop holds the prefix
+    # means, its work area and per-path vectors
+    n, m = 64, 20_000
+    ctx = GramContext.build(MODELS["fbm"], TimeGrid.uniform_grid(n))
+    fn = make_functional("quadratic", ctx.grid)
+    field = clark_integrand(ctx, fn)
+    paths = sample_ensemble(ctx, m, seed=33).paths
+    tracemalloc.start()
+    try:
+        delta = divergence(ctx, field, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta.shape == (m,)
+    assert peak <= 8 * m * n + 8 * m * (3 * fn.k + 2) + (1 << 20)
+
+
 def test_wrapped_clark_field_keeps_its_wrapper() -> None:
     # a copy with a pass-through coeff_fn, as a tracer makes, runs through
     # the wrapper under the field's own divergence rule
@@ -258,9 +309,10 @@ def test_mixed_clark_fields_stay_scaled(name: str) -> None:
     for weight, scaled in zip((mctx.alpha, mctx.beta), mixed_clark_fields(mctx, fn)):
         assert np.array_equal(scaled.coeff_fn(paths), weight * a)
         assert np.array_equal(scaled.coeff_fn(paths, incr), weight * a)
+        assert_ito_table(scaled, paths, a, weight)
         own = divergence(ctx, scaled, paths)
-        assert np.array_equal(own, generic_divergence(ctx, scaled, paths))
-        assert np.array_equal(own, (weight * a * incr).sum(axis=-1))
+        assert_same_bits(own, generic_divergence(ctx, scaled, paths))
+        assert_same_bits(own, (weight * a * incr).sum(axis=-1))
         # on a component's paths the generic path reads the mixture
         for comp_ctx, comp in ((mctx.ctx_b, ens.paths_b), (mctx.ctx_h, ens.paths_h)):
             assert np.array_equal(divergence(comp_ctx, scaled, comp, paths, weight),

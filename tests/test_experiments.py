@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -263,6 +264,44 @@ def test_sampler_stats_working_memory_is_bounded_in_bytes() -> None:
     finally:
         tracemalloc.stop()
     assert peak <= 96 << 20
+
+
+@pytest.mark.parametrize("model", [
+    CovarianceModel.bm(), CovarianceModel.fbm(0.1), CovarianceModel.fbm(0.25),
+    CovarianceModel.fbm(0.4), CovarianceModel(1.0, 1.0, 0.1)],
+    ids=["bm", "fbm010", "fbm025", "fbm040", "mixture"])
+def test_model_increment_variances_match_scalar_calls(model) -> None:
+    # one array evaluation gives the floats of one `increment_variance` call
+    # per grid point, on uniform grids and on a non-uniform one
+    times = np.sort(np.random.default_rng(7).uniform(0.0, 2.0, 50))
+    grids = [TimeGrid.uniform_grid(n) for n in (5, 64, 1023, 1024)]
+    for grid in grids + [TimeGrid(times, 2.0)]:
+        ctx = types.SimpleNamespace(model=model, grid=grid)
+        t = grid.times.tolist()
+        want = [increment_variance(model, s, u) for s, u in zip([0.0] + t, t)]
+        assert experiments._model_increment_variances(ctx) == want
+
+
+def test_mixed_releases_component_paths_after_the_divergences(monkeypatch) -> None:
+    # the pairings read X alone; by the first coefficient table B and B^H
+    # are gone
+    components = []
+    draw, coefficients = experiments.sample_mixed, experiments.field_coefficients
+
+    def sample(*args, **kwargs):
+        ens = draw(*args, **kwargs)
+        components.extend(weakref.ref(p) for p in (ens.paths_b, ens.paths_h))
+        return ens
+
+    def first_table(*args, **kwargs):
+        gc.collect()
+        assert len(components) == 2
+        assert all(ref() is None for ref in components)
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_mixed", sample)
+    monkeypatch.setattr(experiments, "field_coefficients", first_table)
+    assert run_mixed(small(model="mixed", alpha=0.7, beta=1.2)).results
 
 
 @pytest.mark.parametrize("n", [1000, 5000, 20_000])

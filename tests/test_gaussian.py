@@ -284,6 +284,17 @@ def test_sampler_working_memory_is_bounded_in_bytes(sampler) -> None:
     assert peak - ens.paths.nbytes <= 96 << 20
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, m", [(64, 20_000), (1024, 4096)])
+def test_circulant_buffers_fit_one_block_together(n: int, m: int, workers: int) -> None:
+    # the normals and half spectra of every worker share one BLOCK_BYTES;
+    # the slack covers the spectrum and its weights, a few 2n-vectors
+    ctx = make_ctx(h=0.25, n=n)
+    ens, peak = _traced_peak(sample_ensemble_circulant, ctx, m, 5, 1, workers)
+    assert ens.sampler == "circulant"
+    assert peak - ens.paths.nbytes <= gaussian.BLOCK_BYTES + (1 << 20)
+
+
 def test_ensemble_io_working_memory_is_bounded_in_bytes(tmp_path) -> None:
     ens = sample_ensemble(make_ctx(n=512), CHUNK_ROWS + 2000, seed=5, workers=2)
     p = tmp_path / "ens.bin"
